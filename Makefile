@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchjson ci fmt-check vet chaos incr native inline chowd sweep fuzz trace clean
+.PHONY: all build test race bench benchjson ci fmt-check vet chaos incr native inline chowd sweep mem fuzz trace clean
 
 all: build
 
@@ -104,6 +104,15 @@ sweep:
 	$(GO) test -run 'TestConvention' ./
 	$(GO) test -run 'TestSweep|TestSampleConventions|TestTune' -v ./internal/experiments
 
+# Simulator-memory gate: a run's memory is a demand-zero mapping on unix
+# and a heap slice elsewhere (see DESIGN.md §7), so both sides of that
+# build-tag split must compile, and concurrent runs and daemon requests map
+# and unmap under the race detector.
+mem:
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin $(GO) vet ./internal/sim
+	$(GO) test -race ./internal/sim ./internal/daemon
+
 # Longer fuzzing session for the front-end containment, differential
 # compile and daemon request-decoder targets. FUZZTIME can be raised for
 # overnight runs.
@@ -117,13 +126,14 @@ fuzz:
 # test suite (./... includes the incr, front and daemon packages, so the
 # incremental driver's and admission queue's concurrency run under the
 # detector), the incremental differential suite, the chowd end-to-end
-# gate, the convention-sweep gate, a one-iteration smoke of the compile,
-# incremental, simulator (all three engines), inliner, daemon-saturation
-# and convention benchmarks (via benchjson, which also refreshes the
-# $(BENCH) trajectory snapshot), the obs- and explain-disabled
+# gate, the convention-sweep gate, the simulator-memory gate (windows and
+# darwin cross-builds of the mapping's build-tag split), a one-iteration
+# smoke of the compile, incremental, simulator (all three engines), inliner,
+# daemon-saturation and convention benchmarks (via benchjson, which also
+# refreshes the $(BENCH) trajectory snapshot), the obs- and explain-disabled
 # zero-allocation checks, and a short smoke of the fuzz targets (seed
 # corpus + a few seconds of mutation).
-ci: fmt-check vet build race incr native inline chowd sweep benchjson
+ci: fmt-check vet build race incr native inline chowd sweep mem benchjson
 	$(GO) test -run '^$$' -bench 'BenchmarkObsDisabled' -benchtime 1x ./internal/obs
 	$(GO) test -run '^$$' -bench 'BenchmarkExplainDisabled' -benchtime 1x ./internal/explain
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./

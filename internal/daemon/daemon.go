@@ -148,7 +148,7 @@ type jobResult struct {
 
 // NewServer builds and starts a server (workers running, no listeners
 // yet). It installs a fresh obs session as the process-wide current one so
-// the whole pipeline's metrics land in /metrics.
+// the whole pipeline's metrics land in /metrics; Shutdown uninstalls it.
 func NewServer(cfg Config) (*Server, error) {
 	cfg.fill()
 	s := &Server{cfg: cfg}
@@ -207,6 +207,8 @@ func (s *Server) Serve(ln net.Listener) error { return s.httpSrv.Serve(ln) }
 // queued and in-flight work completes, and listeners close — all under
 // ctx's deadline. A drain that outlives ctx returns the deadline error
 // with work still running (the process is expected to exit anyway).
+// Shutdown also uninstalls the server's obs session unless another session
+// has replaced it since NewServer; /metrics and /trace keep reading it.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.draining
@@ -236,6 +238,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.ownStateDir {
 		os.RemoveAll(s.cfg.StateDir)
 	}
+	obs.EndIf(s.obs)
 	return err
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"chow88"
+	"chow88/internal/obs"
 )
 
 const fibSrc = `
@@ -373,5 +374,42 @@ func TestShutdownDrains(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Errorf("Shutdown: %v", err)
+	}
+}
+
+// TestShutdownEndsObsSession holds Shutdown to uninstalling the process-wide
+// obs session NewServer installed, so nothing timed after the daemon is
+// gone keeps being traced — but never a newer session someone else began.
+func TestShutdownEndsObsSession(t *testing.T) {
+	defer obs.End()
+	shutdown := func(s *Server) {
+		t.Helper()
+		ctx, cancel := testCtx(5 * time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+	}
+
+	s, err := NewServer(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obs.Current() != s.obs {
+		t.Fatal("NewServer did not install its obs session")
+	}
+	shutdown(s)
+	if obs.Current() != nil {
+		t.Fatal("obs session still installed after Shutdown")
+	}
+
+	s, err = NewServer(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer := obs.Begin(obs.Options{})
+	shutdown(s)
+	if obs.Current() != newer {
+		t.Fatal("Shutdown uninstalled a session it did not install")
 	}
 }

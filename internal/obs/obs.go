@@ -79,8 +79,7 @@ const (
 	CSimPredecodes
 	CSimImageCacheHits
 	CSimTailInlined
-	CSimPoolReuse
-	CSimPoolAlloc
+	CSimMemHeapFallback
 	// Incremental recompilation (internal/incr).
 	CIncrFullRebuild
 	CIncrFuncsReused
@@ -148,8 +147,7 @@ var counterNames = [NumCounters]string{
 	CSimPredecodes:       "sim.predecodes",
 	CSimImageCacheHits:   "sim.image_cache_hits",
 	CSimTailInlined:      "sim.tail_blocks_inlined",
-	CSimPoolReuse:        "sim.mem_pool_reuses",
-	CSimPoolAlloc:        "sim.mem_pool_allocs",
+	CSimMemHeapFallback:  "sim.mem_heap_fallbacks",
 
 	CIncrFullRebuild:       "incr.full_rebuilds",
 	CIncrFuncsReused:       "incr.funcs_reused",
@@ -307,6 +305,10 @@ func End() *Session {
 	current.Store(nil)
 	return s
 }
+
+// EndIf uninstalls s if it is still the current session, leaving a newer
+// session installed by someone else in place.
+func EndIf(s *Session) { current.CompareAndSwap(s, nil) }
 
 // Current returns the installed session, or nil when observability is
 // disabled. The nil result is usable directly: every method no-ops.

@@ -319,23 +319,6 @@ func (m *machine) runFast(img *image) error {
 			if addr < 0 || addr >= memWords {
 				return fault(x.a2, int(x.pc), "store to bad address %d", addr)
 			}
-			// noteStore, expanded by hand: runFast is past the size where the
-			// compiler inlines it, and a call per store is measurable.
-			if addr < m.stackFloor {
-				if addr < m.loData {
-					m.loData = addr
-				}
-				if addr >= m.hiData {
-					m.hiData = addr + 1
-				}
-			} else {
-				if addr < m.loStack {
-					m.loStack = addr
-				}
-				if addr >= m.hiStack {
-					m.hiStack = addr + 1
-				}
-			}
 			mem[addr] = regs[x.rt]
 			continue
 		case xMOVE2:
@@ -561,21 +544,6 @@ func (m *machine) runFast(img *image) error {
 			addr := regs[x.rs] + int64(x.a1)
 			if addr < 0 || addr >= memWords {
 				return fault(x.a2, int(x.pc), "store to bad address %d", addr)
-			}
-			if addr < m.stackFloor { // noteStore, expanded by hand (see xSW)
-				if addr < m.loData {
-					m.loData = addr
-				}
-				if addr >= m.hiData {
-					m.hiData = addr + 1
-				}
-			} else {
-				if addr < m.loStack {
-					m.loStack = addr
-				}
-				if addr >= m.hiStack {
-					m.hiStack = addr + 1
-				}
 			}
 			mem[addr] = regs[x.rt]
 			regs[x.rd] = x.imm
@@ -962,7 +930,6 @@ func (m *machine) runFast(img *image) error {
 			base := regs[r.base]
 			if base > -runBaseMax && base < runBaseMax &&
 				base+r.minOff >= 0 && base+r.maxOff < memWords {
-				m.noteStoreRange(base+r.minOff, base+r.maxOff+1)
 				for j := range r.ents {
 					e := &r.ents[j]
 					mem[base+e.off] = regs[e.reg]
@@ -974,7 +941,6 @@ func (m *machine) runFast(img *image) error {
 					if addr < 0 || addr >= memWords {
 						return fault(x.a2, int(x.pc)+k, "store to bad address %d", addr)
 					}
-					m.noteStore(addr)
 					mem[addr] = regs[e.reg]
 				}
 			}

@@ -332,7 +332,6 @@ func (t *ntrans) step(x *xinstr) (nstep, bool) {
 			if uint64(addr) >= uint64(c.memWords) {
 				return c.faultAddr(bi, pc, "store to bad address %d", addr)
 			}
-			noteStoreInline(c.m, addr)
 			c.mem[addr] = c.regs[rt]
 			return true
 		}, true
@@ -651,7 +650,6 @@ func (t *ntrans) step(x *xinstr) (nstep, bool) {
 			if uint64(addr) >= uint64(c.memWords) {
 				return c.faultAddr(bi, pc, "store to bad address %d", addr)
 			}
-			noteStoreInline(c.m, addr)
 			c.mem[addr] = r[rt]
 			r[rd] = imm
 			return true
@@ -671,7 +669,6 @@ func (t *ntrans) step(x *xinstr) (nstep, bool) {
 			base := r[run.base]
 			if base > -runBaseMax && base < runBaseMax &&
 				base+run.minOff >= 0 && base+run.maxOff < c.memWords {
-				c.m.noteStoreRange(base+run.minOff, base+run.maxOff+1)
 				for j := range run.ents {
 					e := &run.ents[j]
 					c.mem[base+e.off] = r[e.reg]
@@ -683,7 +680,6 @@ func (t *ntrans) step(x *xinstr) (nstep, bool) {
 					if uint64(addr) >= uint64(c.memWords) {
 						return c.faultAddr(bi, pc+k, "store to bad address %d", addr)
 					}
-					c.m.noteStore(addr)
 					c.mem[addr] = r[e.reg]
 				}
 			}
@@ -714,27 +710,6 @@ func (t *ntrans) step(x *xinstr) (nstep, bool) {
 		}, true
 	}
 	return nil, false
-}
-
-// noteStoreInline is machine.noteStore as a free function; with two
-// leaf callers per store closure the compiler inlines it, matching the
-// fast engine's hand expansion.
-func noteStoreInline(m *machine, addr int64) {
-	if addr < m.stackFloor {
-		if addr < m.loData {
-			m.loData = addr
-		}
-		if addr >= m.hiData {
-			m.hiData = addr + 1
-		}
-	} else {
-		if addr < m.loStack {
-			m.loStack = addr
-		}
-		if addr >= m.hiStack {
-			m.hiStack = addr + 1
-		}
-	}
 }
 
 // term builds the termInfo for a block's terminating superinstruction.

@@ -3,7 +3,9 @@
 // word-addressed memory holding the data segment and a downward-growing
 // stack, and the R2000's integer cycle costs (single-cycle ALU, loads and
 // stores; 12-cycle multiply; 35-cycle divide). It fills a pixie.Stats with
-// the trace counters as it runs.
+// the trace counters as it runs. Each run's memory is a fresh demand-zero
+// mapping (mem_unix.go), so a run starts from all-zero memory and only the
+// pages it touches become resident.
 //
 // Three engines share the machine model, forming a ladder of increasing
 // speed. RunReference is the original per-instruction interpreter and the
@@ -22,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"chow88/internal/mach"
@@ -34,7 +35,9 @@ import (
 // Options configure a run.
 type Options struct {
 	// MemWords is the memory size in words; 0 selects a default sized to
-	// the program's data segment plus a 1 MiW stack.
+	// the program's data segment plus a 1 MiW stack. It sets the address
+	// space, not the footprint: the memory is mapped on demand, so a run
+	// holds only the pages it touches.
 	MemWords int
 	// MaxInstrs bounds execution; 0 means the default (2e9).
 	MaxInstrs int64
@@ -137,17 +140,10 @@ type machine struct {
 	// loops pay one always-false compare.
 	deadline   time.Time
 	deadlineAt int64
-	// loData/hiData and loStack/hiStack bound the memory words the run has
-	// written (all writes go through SW or a store run), split at
-	// stackFloor. release clears exactly those ranges before pooling the
-	// buffer, keeping the pool's all-zero invariant without paying a full
-	// memclr of the 8 MiB default memory on every run. Two ranges matter:
-	// almost every program dirties both the globals at the bottom of
-	// memory and the stack at the top, so a single range would span — and
-	// release would clear — nearly the whole buffer.
-	loData, hiData   int64
-	loStack, hiStack int64
-	res              *Result
+	// mapped marks mem as a mapWords mapping that release must unmap;
+	// false for the heap fallback.
+	mapped bool
+	res    *Result
 	// superHits and blockEntries accumulate the fast engine's per-
 	// superinstruction dispatch histogram (indexed by xop) and its total
 	// block entries. flush fills them from the block entry counters —
@@ -157,80 +153,17 @@ type machine struct {
 	blockEntries int64
 }
 
-// memPool recycles memory buffers between runs. Every pooled buffer is
-// all-zero over its full capacity (release restores that invariant by
-// clearing the words the run dirtied), so a fresh machine can slice one
-// without clearing. Runs with a program's default sizing dominate, so the
-// capacity check almost always hits.
-var memPool sync.Pool
+// mapMem allocates each run's memory; tests swap it to drive the heap
+// fallback.
+var mapMem = mapWords
 
-func getMem(n int) []int64 {
-	if v := memPool.Get(); v != nil {
-		if buf := *v.(*[]int64); cap(buf) >= n {
-			obs.Current().Add(obs.CSimPoolReuse, 1)
-			return buf[:n]
-		}
-	}
-	obs.Current().Add(obs.CSimPoolAlloc, 1)
-	return make([]int64, n)
-}
-
-// release returns the machine's memory to the pool with its dirtied words
-// re-zeroed. The Result never aliases the buffer, so this is safe as soon
-// as the run has ended.
+// release unmaps the machine's memory. The Result never aliases it, so
+// this is safe as soon as the run has ended.
 func (m *machine) release() {
-	if m.loData < m.hiData {
-		clear(m.mem[m.loData:m.hiData])
+	if m.mapped {
+		unmapWords(m.mem)
 	}
-	if m.loStack < m.hiStack {
-		clear(m.mem[m.loStack:m.hiStack])
-	}
-	buf := m.mem[:cap(m.mem)]
-	memPool.Put(&buf)
 	m.mem = nil
-}
-
-// noteStore records a write to mem[addr], growing the data- or stack-side
-// dirty range for release.
-func (m *machine) noteStore(addr int64) {
-	if addr < m.stackFloor {
-		if addr < m.loData {
-			m.loData = addr
-		}
-		if addr >= m.hiData {
-			m.hiData = addr + 1
-		}
-	} else {
-		if addr < m.loStack {
-			m.loStack = addr
-		}
-		if addr >= m.hiStack {
-			m.hiStack = addr + 1
-		}
-	}
-}
-
-// noteStoreRange records writes covering mem[lo:hi), splitting the span at
-// stackFloor when it straddles the boundary.
-func (m *machine) noteStoreRange(lo, hi int64) {
-	if lo < m.stackFloor {
-		t := min(hi, m.stackFloor)
-		if lo < m.loData {
-			m.loData = lo
-		}
-		if t > m.hiData {
-			m.hiData = t
-		}
-	}
-	if hi > m.stackFloor {
-		f := max(lo, m.stackFloor)
-		if f < m.loStack {
-			m.loStack = f
-		}
-		if hi > m.hiStack {
-			m.hiStack = hi
-		}
-	}
 }
 
 func newMachine(p *mcode.Program, opts Options) *machine {
@@ -244,14 +177,17 @@ func newMachine(p *mcode.Program, opts Options) *machine {
 	}
 	m := &machine{
 		p:          p,
-		mem:        getMem(memWords),
+		mem:        mapMem(memWords),
 		memWords:   int64(memWords),
 		stackFloor: int64(p.DataSize),
 		maxInstrs:  maxInstrs,
-		loData:     int64(memWords),
-		loStack:    int64(memWords),
 		deadlineAt: math.MaxInt64,
 		res:        &Result{},
+	}
+	m.mapped = m.mem != nil
+	if !m.mapped {
+		obs.Current().Add(obs.CSimMemHeapFallback, 1)
+		m.mem = make([]int64, memWords)
 	}
 	if opts.Deadline > 0 {
 		m.deadline = time.Now().Add(opts.Deadline)
@@ -491,7 +427,6 @@ func (m *machine) interpret(pc int, stopAt []int32) (int, bool, error) {
 			if addr < 0 || addr >= m.memWords {
 				return 0, true, m.trap(pc, "store to bad address %d", addr)
 			}
-			m.noteStore(addr)
 			m.mem[addr] = m.regs[in.Rt]
 			st.Stores++
 			st.StoresByClass[in.Class]++
