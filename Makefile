@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchjson ci fmt-check vet chaos incr native inline chowd sweep mem fuzz trace clean
+.PHONY: all build test race bench benchjson ci fmt-check vet chaos incr sim inline chowd sweep mem fuzz trace clean
 
 all: build
 
@@ -59,19 +59,18 @@ incr:
 	$(GO) test ./internal/incr ./internal/front
 	$(GO) test -run '^$$' -bench 'BenchmarkIncrementalRecompile' -benchtime 1x ./
 
-# Native-tier gate: the three-way differential suite (every engine test
-# compares fast and native against the reference oracle), the translation-
-# cache concurrency test under the race detector, and a one-iteration
-# smoke of the native benchmark rows (see DESIGN.md §11). Also exercised
-# by plain `make test` / `make race`; this target runs the native-specific
-# slice alone.
-native:
-	$(GO) test -run 'TestEngines|TestNative|TestXopNames|TestWallClockDeadline|TestDeadlinePartialStatsExact' ./internal/sim ./
-	$(GO) test -race -run 'TestNativeConcurrentRuns' -count=2 ./internal/sim
-	$(GO) test -run '^$$' -bench 'BenchmarkSimNative' -benchtime 1x ./
+# Simulator gate: the fast-vs-reference differential slice (every engine
+# test holds the fast engine bit-identical to the reference oracle, plus
+# the image-cache concurrency test, run isolation and the deadline
+# partial-stats checks) and a one-iteration smoke of the simulator
+# benchmark rows (see DESIGN.md §7). Also exercised by plain `make test`;
+# the race-detector run of ./internal/sim lives in `make mem`.
+sim:
+	$(GO) test -run 'TestEngines|TestConcurrentRuns|TestRunIsolation|TestXopNames|TestWallClockDeadline|TestDeadlinePartialStatsExact' ./internal/sim ./
+	$(GO) test -run '^$$' -bench 'BenchmarkSim' -benchtime 1x ./
 
 # Procedure-integrator gate: the inline pass unit tests, the inlined-corpus
-# slice (clean validator run across all modes, three-engine differential,
+# slice (clean validator run across all modes, fast-vs-reference differential,
 # parallel/sequential determinism, the mode-C cycles-win acceptance bar and
 # the statefile mode-skew fallback) and a one-iteration smoke of the inline
 # on/off benchmark rows (see DESIGN.md §12). Also exercised by plain
@@ -125,15 +124,16 @@ fuzz:
 # The gate every change must pass: formatting, vet, build, the race-enabled
 # test suite (./... includes the incr, front and daemon packages, so the
 # incremental driver's and admission queue's concurrency run under the
-# detector), the incremental differential suite, the chowd end-to-end
-# gate, the convention-sweep gate, the simulator-memory gate (windows and
-# darwin cross-builds of the mapping's build-tag split), a one-iteration
-# smoke of the compile, incremental, simulator (all three engines), inliner,
+# detector), the incremental differential suite, the fast-vs-reference
+# simulator gate, the chowd end-to-end gate, the convention-sweep gate,
+# the simulator-memory gate (windows and darwin cross-builds of the
+# mapping's build-tag split), a one-iteration smoke of the compile,
+# incremental, simulator (fast and reference engines), inliner,
 # daemon-saturation and convention benchmarks (via benchjson, which also
 # refreshes the $(BENCH) trajectory snapshot), the obs- and explain-disabled
 # zero-allocation checks, and a short smoke of the fuzz targets (seed
 # corpus + a few seconds of mutation).
-ci: fmt-check vet build race incr native inline chowd sweep mem benchjson
+ci: fmt-check vet build race incr sim inline chowd sweep mem benchjson
 	$(GO) test -run '^$$' -bench 'BenchmarkObsDisabled' -benchtime 1x ./internal/obs
 	$(GO) test -run '^$$' -bench 'BenchmarkExplainDisabled' -benchtime 1x ./internal/explain
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./

@@ -95,27 +95,20 @@ func BenchmarkFigures(b *testing.B) {
 }
 
 // BenchmarkSim measures raw simulator speed over compiled programs: the
-// predecoded block-batched engine ("fast") against the per-instruction
-// reference interpreter. All engines produce bit-identical
-// Output/Stats/InstrCounts (see TestEnginesBitIdenticalOnSuite); this
-// benchmark measures the speed gap the predecoding buys. The engines are
-// pinned via sim.Options so the rows keep measuring the same tiers across
-// PRs; BenchmarkSimNative runs the closure-threaded tier on identical
-// workloads for apples-to-apples benchstat comparisons.
+// predecoded block-batched engine ("fast", the default behind Prog.Run)
+// against the per-instruction reference interpreter. Both engines produce
+// bit-identical Output/Stats/InstrCounts (see
+// TestEnginesBitIdenticalOnSuite); this benchmark measures the speed gap
+// the predecoding buys. The engines are pinned via sim.Options so the rows
+// keep measuring the same engines across changes.
 func BenchmarkSim(b *testing.B) {
 	benchSimEngines(b, sim.Options{}, []string{"fast", "ref"})
-}
-
-// BenchmarkSimNative measures the closure-threaded native tier (the
-// default behind Prog.Run) on the exact workloads of BenchmarkSim.
-func BenchmarkSimNative(b *testing.B) {
-	benchSimEngines(b, sim.Options{}, []string{"native"})
 }
 
 // BenchmarkSimProfile is BenchmarkSim with per-instruction profiling on —
 // the configuration every CompileProfiled training run pays for.
 func BenchmarkSimProfile(b *testing.B) {
-	benchSimEngines(b, sim.Options{Profile: true}, []string{"native", "fast", "ref"})
+	benchSimEngines(b, sim.Options{Profile: true}, []string{"fast", "ref"})
 }
 
 func benchSimEngines(b *testing.B, opts sim.Options, engines []string) {

@@ -18,9 +18,9 @@
 //	                 (overrides -regs; incoherent specs are rejected with
 //	                 their named reason and exit code 12)
 //	-run             execute and print the program output and trace stats
-//	-engine=native   execution tier for -run: native (closure-threaded, the
-//	                 default), fast (predecoded block dispatch) or reference
-//	                 (per-instruction oracle); unknown names are rejected
+//	-engine=fast     simulator engine for -run: fast (predecoded block
+//	                 dispatch, the default) or reference (per-instruction
+//	                 oracle); unknown names are rejected with exit code 10
 //	-timeout=10s     wall-clock limit for -run (0 = none)
 //	-S               print the disassembly
 //	-ir              print the optimized IR
@@ -147,7 +147,7 @@ func main() {
 	regs := flag.String("regs", "full", "register configuration: full, caller7, callee7")
 	conv := flag.String("conv", "", "explicit register convention spec (overrides -regs), e.g. caller=v1,a0-a3,t0-t9;callee=s0-s8;params=a0-a3")
 	doRun := flag.Bool("run", false, "execute the program on the simulator")
-	engine := flag.String("engine", "", "execution tier for -run: native (default), fast, reference")
+	engine := flag.String("engine", "", "simulator engine for -run: fast (default), reference")
 	doAsm := flag.Bool("S", false, "print disassembly")
 	doIR := flag.Bool("ir", false, "print optimized IR")
 	doPlan := flag.Bool("plan", false, "print call graph and allocation plan")

@@ -33,6 +33,7 @@ func TestClassify(t *testing.T) {
 		{fmt.Errorf("pc 3: %w", sim.ErrDeadline), chow88.ExitDeadline},
 		{fmt.Errorf("%w: %w", pipeline.ErrCanceled, context.DeadlineExceeded), chow88.ExitDeadline},
 		{sim.ValidateEngine("turbo"), chow88.ExitBadEngine},
+		{sim.ValidateEngine("native"), chow88.ExitBadEngine},
 		{badBudgetErr("bogus"), chow88.ExitBadBudget},
 		{badBudgetErr("0"), chow88.ExitBadBudget},
 		{badBudgetErr("-3"), chow88.ExitBadBudget},

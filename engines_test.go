@@ -9,35 +9,31 @@ import (
 	"chow88/internal/sim"
 )
 
-// requireEnginesAgree runs a compiled image on all three simulator tiers
-// with profiling on and requires the fast and native engines bit-identical
-// to the reference oracle — Output, Stats, InstrCounts and error text —
-// the fidelity contract behind every pixie number the paper's tables
-// report. It returns the native tier's result and error.
+// requireEnginesAgree runs a compiled image on the fast engine and the
+// reference oracle with the same options and requires them bit-identical
+// — Output, Stats, InstrCounts and error text — the fidelity contract
+// behind every pixie number the paper's tables report. It returns the
+// fast engine's result and error.
 func requireEnginesAgree(t *testing.T, label string, prog *Program, opts sim.Options) (*sim.Result, error) {
 	t.Helper()
 	ref, rerr := sim.RunReference(prog.Code, opts)
-	var res *sim.Result
-	var err error
-	for _, engine := range []string{"fast", "native"} {
-		o := opts
-		o.Engine = engine
-		res, err = sim.Run(prog.Code, o)
-		switch {
-		case (err == nil) != (rerr == nil):
-			t.Fatalf("%s: %s vs reference disagree on error:\n%s: %v\nref: %v", label, engine, engine, err, rerr)
-		case err != nil && err.Error() != rerr.Error():
-			t.Fatalf("%s: %s vs reference disagree on error text:\n%s: %v\nref: %v", label, engine, engine, err, rerr)
-		}
-		if !reflect.DeepEqual(res.Output, ref.Output) {
-			t.Fatalf("%s: %s output diverged\n%s: %v\nref: %v", label, engine, engine, res.Output, ref.Output)
-		}
-		if res.Stats != ref.Stats {
-			t.Fatalf("%s: %s stats diverged from reference:\n%s", label, engine, res.Stats.Diff(&ref.Stats))
-		}
-		if !reflect.DeepEqual(res.InstrCounts, ref.InstrCounts) {
-			t.Fatalf("%s: %s instruction counts diverged", label, engine)
-		}
+	o := opts
+	o.Engine = "fast"
+	res, err := sim.Run(prog.Code, o)
+	switch {
+	case (err == nil) != (rerr == nil):
+		t.Fatalf("%s: fast vs reference disagree on error:\nfast: %v\nref: %v", label, err, rerr)
+	case err != nil && err.Error() != rerr.Error():
+		t.Fatalf("%s: fast vs reference disagree on error text:\nfast: %v\nref: %v", label, err, rerr)
+	}
+	if !reflect.DeepEqual(res.Output, ref.Output) {
+		t.Fatalf("%s: fast output diverged\nfast: %v\nref: %v", label, res.Output, ref.Output)
+	}
+	if res.Stats != ref.Stats {
+		t.Fatalf("%s: fast stats diverged from reference:\n%s", label, res.Stats.Diff(&ref.Stats))
+	}
+	if !reflect.DeepEqual(res.InstrCounts, ref.InstrCounts) {
+		t.Fatalf("%s: fast instruction counts diverged", label)
 	}
 	return res, err
 }

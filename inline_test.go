@@ -45,8 +45,8 @@ func TestInlineCleanCorpus(t *testing.T) {
 }
 
 // TestInlineDifferentialThreeEngines proves inlined programs produce
-// byte-identical Output to their non-inlined builds, on all three
-// simulator tiers.
+// byte-identical Output to their non-inlined builds, on both simulator
+// engines.
 func TestInlineDifferentialThreeEngines(t *testing.T) {
 	progs := benchprog.All()
 	if testing.Short() {

@@ -153,6 +153,7 @@ func TestBadRequests(t *testing.T) {
 		{"missing source", "/compile", `{}`, 400, "missing-source"},
 		{"trailing data", "/compile", `{"source":"x"} {"source":"y"}`, 400, "trailing-data"},
 		{"bad engine", "/run", `{"source":"func main() { print(1); }","engine":"turbo"}`, 400, "bad-engine"},
+		{"native engine", "/run", `{"source":"func main() { print(1); }","engine":"native"}`, 400, "bad-engine"},
 		{"bad opt", "/compile", `{"source":"func main() { print(1); }","opt":"O9"}`, 400, "bad-opt"},
 		{"bad regs", "/compile", `{"source":"func main() { print(1); }","regs":"zero"}`, 400, "bad-regs"},
 		{"negative timeout", "/compile", `{"source":"func main() { print(1); }","timeout_ms":-1}`, 400, "bad-timeout"},

@@ -36,7 +36,8 @@ type Request struct {
 	Open []string `json:"open,omitempty"`
 	// Strict makes any graceful-degradation repair a hard error.
 	Strict bool `json:"strict,omitempty"`
-	// Engine pins a simulator tier on /run: "native", "fast", "reference".
+	// Engine pins a simulator engine on /run: "fast" (the default) or
+	// "reference".
 	Engine string `json:"engine,omitempty"`
 	// TimeoutMS bounds the request's compile+run wall clock; 0 selects the
 	// server default, and values above the server maximum are clamped.

@@ -22,11 +22,12 @@ import (
 // the 20 allocatable registers, where should the caller-saved/callee-saved
 // boundary sit, and how many registers should carry parameters? Every
 // candidate partition compiles the whole workload under mode C with the
-// validator on, runs it on the simulator's native tier, and is charged the
-// trace's cycle count plus the two penalty buckets the paper measures —
-// save/restore loads+stores and call-linkage cycles. Candidates run in a
-// worker pool; the explain-journal attribution of the winner (a process-
-// global journal, so necessarily sequential) happens after the pool drains.
+// validator on, runs it on the simulator's default fast engine, and is
+// charged the trace's cycle count plus the two penalty buckets the paper
+// measures — save/restore loads+stores and call-linkage cycles. Candidates
+// run in a worker pool; the explain-journal attribution of the winner (a
+// process-global journal, so necessarily sequential) happens after the pool
+// drains.
 
 // Workload is one program the sweep measures. The standard workload is the
 // 13-program suite plus synthetic progen programs whose call sites carry up
@@ -60,7 +61,7 @@ func SweepWorkload(n int) ([]Workload, error) {
 }
 
 // sweepRun is the lean measurement path: compile under mode, execute on the
-// default (native) engine, return the trace stats and output. No obs spans —
+// default (fast) engine, return the trace stats and output. No obs spans —
 // sweep candidates run concurrently and per-measurement reports would
 // interleave.
 func sweepRun(src string, mode core.Mode) (*pixie.Stats, []int64, error) {

@@ -64,15 +64,10 @@ const (
 	CCheckPanics
 	CCheckFaults
 	// Simulator (internal/sim).
-	CSimRunsNative
 	CSimRunsFast
 	CSimRunsRef
 	CSimVerifyFallback
 	CSimStackFallback
-	CSimNativeFallback
-	CSimNativeTranslates
-	CSimNativeBlocks
-	CSimNativeCacheHits
 	CSimBudgetHandoff
 	CSimBlockEntries
 	CSimInterpBridges
@@ -108,46 +103,41 @@ const (
 )
 
 var counterNames = [NumCounters]string{
-	CFrontCacheHit:       "front.cache_hits",
-	CFrontCacheMiss:      "front.cache_misses",
-	CFrontCacheEvict:     "front.cache_evictions",
-	CPlanLevels:          "plan.wavefront_levels",
-	CPlanFuncs:           "plan.funcs_planned",
-	CProcsClosed:         "plan.procs_closed",
-	CProcsOpen:           "plan.procs_open",
-	CCalleeSavedFreed:    "plan.callee_saved_freed_by_summary",
-	CShrinkWrapRegs:      "plan.regs_shrink_wrapped",
-	CEntryExitRegs:       "plan.regs_entry_exit",
-	CSaveSites:           "plan.save_sites",
-	CRestoreSites:        "plan.restore_sites",
-	CSpilledRanges:       "plan.spilled_ranges",
-	CSplitRounds:         "plan.split_rounds",
-	CSplitKept:           "plan.split_kept",
-	CRangesColored:       "regalloc.ranges_colored",
-	CRangesSpilled:       "regalloc.ranges_spilled",
-	CCodegenFuncs:        "codegen.funcs_emitted",
-	CLinkCodeWords:       "link.code_words",
-	CCheckViolations:     "check.violations",
-	CCheckDemotions:      "check.demotions",
-	CCheckReplans:        "check.replans",
-	CCheckPanics:         "check.panics_recovered",
-	CCheckFaults:         "check.faults_injected",
-	CSimRunsNative:       "sim.runs_native",
-	CSimRunsFast:         "sim.runs_fast",
-	CSimRunsRef:          "sim.runs_reference",
-	CSimVerifyFallback:   "sim.verify_fallbacks",
-	CSimStackFallback:    "sim.stack_fallbacks",
-	CSimNativeFallback:   "sim.native_fallbacks",
-	CSimNativeTranslates: "sim.native_translations",
-	CSimNativeBlocks:     "sim.native_blocks_translated",
-	CSimNativeCacheHits:  "sim.native_cache_hits",
-	CSimBudgetHandoff:    "sim.budget_handoffs",
-	CSimBlockEntries:     "sim.block_entries",
-	CSimInterpBridges:    "sim.interp_bridges",
-	CSimPredecodes:       "sim.predecodes",
-	CSimImageCacheHits:   "sim.image_cache_hits",
-	CSimTailInlined:      "sim.tail_blocks_inlined",
-	CSimMemHeapFallback:  "sim.mem_heap_fallbacks",
+	CFrontCacheHit:      "front.cache_hits",
+	CFrontCacheMiss:     "front.cache_misses",
+	CFrontCacheEvict:    "front.cache_evictions",
+	CPlanLevels:         "plan.wavefront_levels",
+	CPlanFuncs:          "plan.funcs_planned",
+	CProcsClosed:        "plan.procs_closed",
+	CProcsOpen:          "plan.procs_open",
+	CCalleeSavedFreed:   "plan.callee_saved_freed_by_summary",
+	CShrinkWrapRegs:     "plan.regs_shrink_wrapped",
+	CEntryExitRegs:      "plan.regs_entry_exit",
+	CSaveSites:          "plan.save_sites",
+	CRestoreSites:       "plan.restore_sites",
+	CSpilledRanges:      "plan.spilled_ranges",
+	CSplitRounds:        "plan.split_rounds",
+	CSplitKept:          "plan.split_kept",
+	CRangesColored:      "regalloc.ranges_colored",
+	CRangesSpilled:      "regalloc.ranges_spilled",
+	CCodegenFuncs:       "codegen.funcs_emitted",
+	CLinkCodeWords:      "link.code_words",
+	CCheckViolations:    "check.violations",
+	CCheckDemotions:     "check.demotions",
+	CCheckReplans:       "check.replans",
+	CCheckPanics:        "check.panics_recovered",
+	CCheckFaults:        "check.faults_injected",
+	CSimRunsFast:        "sim.runs_fast",
+	CSimRunsRef:         "sim.runs_reference",
+	CSimVerifyFallback:  "sim.verify_fallbacks",
+	CSimStackFallback:   "sim.stack_fallbacks",
+	CSimBudgetHandoff:   "sim.budget_handoffs",
+	CSimBlockEntries:    "sim.block_entries",
+	CSimInterpBridges:   "sim.interp_bridges",
+	CSimPredecodes:      "sim.predecodes",
+	CSimImageCacheHits:  "sim.image_cache_hits",
+	CSimTailInlined:     "sim.tail_blocks_inlined",
+	CSimMemHeapFallback: "sim.mem_heap_fallbacks",
 
 	CIncrFullRebuild:       "incr.full_rebuilds",
 	CIncrFuncsReused:       "incr.funcs_reused",

@@ -9,49 +9,41 @@ import (
 	"chow88/internal/mcode"
 )
 
-// runEngines executes p on all three tiers under identical options and
-// requires the fast and native engines bit-identical — Output, Stats,
-// InstrCounts and error text — to the reference oracle. It returns the
-// native tier's result and error for further assertions.
+// runEngines executes p on the fast engine and the reference oracle under
+// identical options and requires them bit-identical — Output, Stats,
+// InstrCounts and error text. It returns the fast engine's result and
+// error for further assertions.
 func runEngines(t *testing.T, p *mcode.Program, opts Options) (*Result, error) {
 	t.Helper()
 	ref, rerr := RunReference(p, opts)
-	var res *Result
-	var err error
-	for _, engine := range []string{"fast", "native"} {
-		o := opts
-		o.Engine = engine
-		res, err = Run(p, o)
-		switch {
-		case (err == nil) != (rerr == nil):
-			t.Fatalf("%s vs reference disagree on error:\n%s: %v\nref: %v", engine, engine, err, rerr)
-		case err != nil && err.Error() != rerr.Error():
-			t.Fatalf("%s vs reference disagree on error text:\n%s: %v\nref: %v", engine, engine, err, rerr)
-		}
-		if !reflect.DeepEqual(res.Output, ref.Output) {
-			t.Fatalf("%s output diverged:\n%s: %v\nref: %v", engine, engine, res.Output, ref.Output)
-		}
-		if res.Stats != ref.Stats {
-			t.Fatalf("%s stats diverged from reference:\n%s", engine, res.Stats.Diff(&ref.Stats))
-		}
-		if !reflect.DeepEqual(res.InstrCounts, ref.InstrCounts) {
-			t.Fatalf("%s instruction counts diverged:\n%s: %v\nref: %v", engine, engine, res.InstrCounts, ref.InstrCounts)
-		}
+	o := opts
+	o.Engine = "fast"
+	res, err := Run(p, o)
+	switch {
+	case (err == nil) != (rerr == nil):
+		t.Fatalf("fast vs reference disagree on error:\nfast: %v\nref: %v", err, rerr)
+	case err != nil && err.Error() != rerr.Error():
+		t.Fatalf("fast vs reference disagree on error text:\nfast: %v\nref: %v", err, rerr)
+	}
+	if !reflect.DeepEqual(res.Output, ref.Output) {
+		t.Fatalf("fast output diverged:\nfast: %v\nref: %v", res.Output, ref.Output)
+	}
+	if res.Stats != ref.Stats {
+		t.Fatalf("fast stats diverged from reference:\n%s", res.Stats.Diff(&ref.Stats))
+	}
+	if !reflect.DeepEqual(res.InstrCounts, ref.InstrCounts) {
+		t.Fatalf("fast instruction counts diverged:\nfast: %v\nref: %v", res.InstrCounts, ref.InstrCounts)
 	}
 	return res, err
 }
 
-// requireFastPath asserts that p passes static verification and native
-// translation, i.e. both block engines actually execute their compiled
-// form of the image rather than falling down the tier ladder.
+// requireFastPath asserts that p passes static verification, i.e. the fast
+// engine actually executes the predecoded image rather than falling back
+// to the reference interpreter.
 func requireFastPath(t *testing.T, p *mcode.Program) {
 	t.Helper()
-	img, _ := imageFor(p)
-	if img == nil {
+	if img, _ := imageFor(p); img == nil {
 		t.Fatalf("image rejected by verify; fast path not exercised:\n%v", mcode.Verify(p))
-	}
-	if ni, reason := nativeFor(p, img); ni == nil {
-		t.Fatalf("native translation declined; closure threading not exercised: %s", reason)
 	}
 }
 
@@ -391,13 +383,13 @@ func TestEnginesSignedDivisionEdge(t *testing.T) {
 	}
 }
 
-// TestNativeConcurrentRuns hammers the native tier from many goroutines:
-// a shared program (translation-cache hit path) interleaved with fresh
-// program values (miss path, including the wholesale cache reset once the
-// map fills). Run under the race detector by `make native`, this is the
-// test that holds the cache's locking and the translated closures'
-// statelessness honest.
-func TestNativeConcurrentRuns(t *testing.T) {
+// TestConcurrentRuns hammers the default engine from many goroutines: a
+// shared program (image-cache hit path) interleaved with fresh program
+// values (miss path). The fresh programs outnumber imageCacheCap, so the
+// wholesale cache reset runs too. Run under the race detector by
+// `make mem`, this is the test that holds the cache's locking and the
+// shared images' immutability honest.
+func TestConcurrentRuns(t *testing.T) {
 	mk := func() *mcode.Program {
 		return prog(
 			mcode.Instr{Op: mcode.LI, Rd: mach.T0, Imm: 3},
@@ -413,18 +405,25 @@ func TestNativeConcurrentRuns(t *testing.T) {
 	if werr != nil {
 		t.Fatal(werr)
 	}
-	const workers, iters = 8, 40
+	const workers, iters = 8, 60
+	if fresh := workers * ((iters + 2) / 3); fresh <= imageCacheCap {
+		t.Fatalf("%d fresh programs cannot fill the %d-entry image cache", fresh, imageCacheCap)
+	}
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			for i := 0; i < iters; i++ {
 				p := shared
 				if i%3 == 0 {
-					p = mk() // a fresh program value forces a fresh translation
+					p = mk() // a fresh program value forces a fresh predecode
 				}
-				res, err := Run(p, Options{Engine: "native", Profile: true})
+				res, err := Run(p, Options{Profile: true})
 				if err != nil {
 					errs <- fmt.Errorf("worker %d run %d: %v", w, i, err)
+					return
+				}
+				if res.Engine != "fast" {
+					errs <- fmt.Errorf("worker %d run %d ran on %q, want fast", w, i, res.Engine)
 					return
 				}
 				if !reflect.DeepEqual(res.Output, want.Output) || res.Stats != want.Stats {

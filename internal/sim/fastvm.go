@@ -73,10 +73,7 @@ func (m *machine) prefixStats(b *block, end int) {
 // flushEnts materializes pixie.Stats, the per-instruction profile counts
 // and the obs dispatch histogram from the per-run block entry counters,
 // then resets the counters so it is safe to resume batching afterwards.
-// Both block engines — the predecoded dispatch loop and the
-// closure-threaded native tier — run on the same entry-counter
-// representation, so this is the single place batched counts become
-// statistics.
+// It is the single place batched counts become statistics.
 func (m *machine) flushEnts(img *image, ents []entCnt) {
 	st := &m.res.Stats
 	ic := m.res.InstrCounts
@@ -185,8 +182,7 @@ func (m *machine) runFast(img *image) error {
 	flush := func() { m.flushEnts(img, ents) }
 
 	// fault reports a trap at original code index fpc inside block bi; the
-	// partial-accounting contract lives in machine.faultEnts, shared with
-	// the native tier.
+	// partial-accounting contract lives in machine.faultEnts.
 	fault := func(bi int32, fpc int, format string, args ...any) error {
 		return m.faultEnts(img, ents, bi, fpc, fmt.Sprintf(format, args...))
 	}

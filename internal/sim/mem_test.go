@@ -143,7 +143,6 @@ func TestRunIsolation(t *testing.T) {
 		name string
 		run  func(*mcode.Program, Options) (*Result, error)
 	}{
-		{"native", pinEngine("native")},
 		{"fast", pinEngine("fast")},
 		{"reference", RunReference},
 	}

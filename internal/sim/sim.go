@@ -7,17 +7,14 @@
 // mapping (mem_unix.go), so a run starts from all-zero memory and only the
 // pages it touches become resident.
 //
-// Three engines share the machine model, forming a ladder of increasing
-// speed. RunReference is the original per-instruction interpreter and the
-// oracle the others are tested against. The fast engine executes a
-// predecoded image: the program is translated once into a dense internal
-// ISA, basic blocks are discovered, and each block's statistics are
-// accumulated in one step per block entry (see predecode.go / fastvm.go).
-// The native engine — Run's default — further translates the predecoded
-// blocks into closure-threaded code with zero switch dispatch (see
-// nativevm.go / nativetrans.go). All three are bit-identical in Output,
-// Stats and InstrCounts, which the differential tests enforce;
-// Options.Engine pins a specific tier.
+// Two engines share the machine model. RunReference is the original
+// per-instruction interpreter and the oracle the other is tested against.
+// The fast engine — Run's default — executes a predecoded image: the
+// program is translated once into a dense internal ISA, basic blocks are
+// discovered, and each block's statistics are accumulated in one step per
+// block entry (see predecode.go / fastvm.go). Both are bit-identical in
+// Output, Stats and InstrCounts, which the differential tests enforce;
+// Options.Engine pins a specific engine.
 package sim
 
 import (
@@ -37,7 +34,8 @@ type Options struct {
 	// MemWords is the memory size in words; 0 selects a default sized to
 	// the program's data segment plus a 1 MiW stack. It sets the address
 	// space, not the footprint: the memory is mapped on demand, so a run
-	// holds only the pages it touches.
+	// holds only the pages it touches. Negative values and values whose
+	// byte size overflows an int make the run fail with ErrBadMemWords.
 	MemWords int
 	// MaxInstrs bounds execution; 0 means the default (2e9).
 	MaxInstrs int64
@@ -50,14 +48,12 @@ type Options struct {
 	// Profile records per-instruction execution counts in the result,
 	// enabling profile feedback to the register allocator.
 	Profile bool
-	// Engine pins an execution tier: "native" (closure-threaded, the
-	// default), "fast" (predecoded block dispatch) or "reference" (the
-	// per-instruction oracle). Empty selects the default ladder. A pinned
-	// block engine still degrades — to the fast engine when native
-	// translation declines, to the reference interpreter when the image
-	// fails static verification or the initial stack pointer is degenerate
-	// — with the reason on Result.FallbackReason. Unknown names make Run
-	// fail with ErrBadEngine.
+	// Engine pins an engine: "fast" (predecoded block dispatch, the
+	// default) or "reference" (the per-instruction oracle). Empty selects
+	// the default. The fast engine still degrades to the reference
+	// interpreter when the image fails static verification or the initial
+	// stack pointer is degenerate, with the reason on
+	// Result.FallbackReason. Unknown names make Run fail with ErrBadEngine.
 	Engine string
 }
 
@@ -65,13 +61,25 @@ type Options struct {
 var ErrBadEngine = errors.New("unknown engine")
 
 // ValidateEngine checks an Options.Engine value; the empty string (the
-// default ladder) is valid.
+// default engine) is valid.
 func ValidateEngine(name string) error {
 	switch name {
-	case "", "native", "fast", "reference":
+	case "", "fast", "reference":
 		return nil
 	}
-	return fmt.Errorf("%w %q (valid: native, fast, reference)", ErrBadEngine, name)
+	return fmt.Errorf("%w %q (valid: fast, reference)", ErrBadEngine, name)
+}
+
+// ErrBadMemWords reports an Options.MemWords that no run can map: negative,
+// or so large that its size in bytes overflows an int.
+var ErrBadMemWords = errors.New("memory size out of range")
+
+// validateMemWords checks Options.MemWords before any memory is mapped.
+func validateMemWords(n int) error {
+	if n < 0 || n > math.MaxInt/8 {
+		return fmt.Errorf("%w: %d words", ErrBadMemWords, n)
+	}
+	return nil
 }
 
 const defaultMaxInstrs = int64(2_000_000_000)
@@ -102,15 +110,14 @@ type Result struct {
 	// InstrCounts holds per-code-index execution counts when Options.Profile
 	// was set (indexed like Program.Code).
 	InstrCounts []int64
-	// Engine names the engine that executed the run: "native" (the
-	// closure-threaded tier), "fast" (the predecoded block-batched engine)
-	// or "reference" (the per-instruction interpreter).
+	// Engine names the engine that executed the run: "fast" (the
+	// predecoded block-batched engine) or "reference" (the per-instruction
+	// interpreter).
 	Engine string
-	// FallbackReason explains a run that degraded below the requested
-	// tier — the static verification error or the degenerate initial stack
-	// pointer (reference fallbacks), or the declined native translation (a
-	// fast fallback). Empty when the requested tier ran or when the caller
-	// asked for the reference engine outright.
+	// FallbackReason explains a run that degraded from the fast engine to
+	// the reference interpreter: the static verification error or the
+	// degenerate initial stack pointer. Empty when the requested engine ran
+	// or when the caller asked for the reference engine outright.
 	FallbackReason string
 	// Report carries the run's metrics window when an obs session is
 	// active; nil otherwise.
@@ -201,15 +208,16 @@ func newMachine(p *mcode.Program, opts Options) *machine {
 }
 
 // Run executes the program from its startup stub on the selected engine
-// (Options.Engine; the closure-threaded native tier by default).
-// Degradation is always toward exactness, never a guess: images that fail
-// static verification — and degenerate configurations whose initial stack
-// pointer already sits below the data segment — take the reference
-// interpreter wholesale, and a native run whose translation declines takes
-// the fast engine. Every fallback surfaces its reason on
-// Result.FallbackReason.
+// (Options.Engine; the predecoded fast engine by default). Degradation is
+// always toward exactness, never a guess: images that fail static
+// verification — and degenerate configurations whose initial stack pointer
+// already sits below the data segment — take the reference interpreter
+// wholesale, with the reason on Result.FallbackReason.
 func Run(p *mcode.Program, opts Options) (*Result, error) {
 	if err := ValidateEngine(opts.Engine); err != nil {
+		return nil, err
+	}
+	if err := validateMemWords(opts.MemWords); err != nil {
 		return nil, err
 	}
 	s := obs.Current()
@@ -236,31 +244,13 @@ func Run(p *mcode.Program, opts Options) (*Result, error) {
 			s.Add(obs.CSimRunsRef, 1)
 			s.Add(obs.CSimStackFallback, 1)
 			_, _, err = m.interpret(0, nil)
-		case opts.Engine == "fast":
+		default: // "" or "fast"
 			m.res.Engine = "fast"
 			s.Add(obs.CSimRunsFast, 1)
 			if s != nil {
 				m.superHits = make([]int64, numXops)
 			}
 			err = m.runFast(img)
-		default: // "" or "native"
-			nimg, nreason := nativeFor(p, img)
-			if nimg == nil {
-				m.res.Engine, m.res.FallbackReason = "fast", nreason
-				s.Add(obs.CSimRunsFast, 1)
-				s.Add(obs.CSimNativeFallback, 1)
-				if s != nil {
-					m.superHits = make([]int64, numXops)
-				}
-				err = m.runFast(img)
-			} else {
-				m.res.Engine = "native"
-				s.Add(obs.CSimRunsNative, 1)
-				if s != nil {
-					m.superHits = make([]int64, numXops)
-				}
-				err = m.runNative(img, nimg)
-			}
 		}
 	}
 	sp.End()
@@ -272,6 +262,9 @@ func Run(p *mcode.Program, opts Options) (*Result, error) {
 // interpreter. It is the oracle the predecoded engine is differentially
 // tested against; Output, Stats and InstrCounts match Run bit for bit.
 func RunReference(p *mcode.Program, opts Options) (*Result, error) {
+	if err := validateMemWords(opts.MemWords); err != nil {
+		return nil, err
+	}
 	s := obs.Current()
 	snap := s.Snap()
 	sp := s.Span(obs.PhaseRun, "sim.RunReference")

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -149,7 +151,7 @@ func TestWallClockDeadline(t *testing.T) {
 	for _, run := range []struct {
 		name string
 		fn   func(*mcode.Program, Options) (*Result, error)
-	}{{"native", pinEngine("native")}, {"fast", pinEngine("fast")}, {"reference", RunReference}} {
+	}{{"fast", pinEngine("fast")}, {"reference", RunReference}} {
 		t.Run(run.name, func(t *testing.T) {
 			res, err := run.fn(p, Options{Deadline: time.Millisecond})
 			if !errors.Is(err, ErrDeadline) {
@@ -280,7 +282,6 @@ func TestDeadlinePartialStatsExact(t *testing.T) {
 		name string
 		run  func(*mcode.Program, Options) (*Result, error)
 	}{
-		{"native", pinEngine("native")},
 		{"fast", pinEngine("fast")},
 		{"reference", RunReference},
 	}
@@ -335,10 +336,59 @@ func TestDeadlinePartialStatsExact(t *testing.T) {
 }
 
 // pinEngine adapts Run to the (program, options) signature of the engine
-// tables above, with the named tier pinned via Options.Engine.
+// tables above, with the named engine pinned via Options.Engine.
 func pinEngine(engine string) func(*mcode.Program, Options) (*Result, error) {
 	return func(p *mcode.Program, o Options) (*Result, error) {
 		o.Engine = engine
 		return Run(p, o)
+	}
+}
+
+// TestDefaultEngine pins the default: an empty Options.Engine runs the fast
+// engine with no fallback, and the removed native tier is an unknown name.
+func TestDefaultEngine(t *testing.T) {
+	p := prog(
+		mcode.Instr{Op: mcode.LI, Rd: mach.T0, Imm: 7},
+		mcode.Instr{Op: mcode.PRINT, Rs: mach.T0},
+		mcode.Instr{Op: mcode.JR, Rs: mach.RA},
+	)
+	res, err := Run(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Engine != "fast" || res.FallbackReason != "" {
+		t.Fatalf("default run: engine %q, fallback %q; want fast with no fallback", res.Engine, res.FallbackReason)
+	}
+	err = ValidateEngine("native")
+	if !errors.Is(err, ErrBadEngine) {
+		t.Fatalf("ValidateEngine(native) = %v, want ErrBadEngine", err)
+	}
+	if msg := err.Error(); !strings.HasSuffix(msg, "(valid: fast, reference)") {
+		t.Fatalf("ValidateEngine(native) message %q should list only fast, reference", msg)
+	}
+	if _, err := Run(p, Options{Engine: "native"}); !errors.Is(err, ErrBadEngine) {
+		t.Fatalf("Run on engine native = %v, want ErrBadEngine", err)
+	}
+}
+
+// TestBadMemWords requires an unmappable Options.MemWords to fail with
+// ErrBadMemWords on every engine — never a makeslice panic.
+func TestBadMemWords(t *testing.T) {
+	p := prog(mcode.Instr{Op: mcode.JR, Rs: mach.RA})
+	engines := []struct {
+		name string
+		run  func(*mcode.Program, Options) (*Result, error)
+	}{
+		{"default", pinEngine("")},
+		{"fast", pinEngine("fast")},
+		{"reference", RunReference},
+	}
+	for _, words := range []int{-1, 1 << 61, math.MaxInt} {
+		for _, e := range engines {
+			res, err := e.run(p, Options{MemWords: words})
+			if !errors.Is(err, ErrBadMemWords) || res != nil {
+				t.Errorf("MemWords %d on %s: result %v, error %v; want ErrBadMemWords", words, e.name, res, err)
+			}
+		}
 	}
 }

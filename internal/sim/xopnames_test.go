@@ -4,9 +4,9 @@ import "testing"
 
 // TestXopNamesComplete pins the display-name table to the internal ISA:
 // every opcode in [0, numXops) must carry a distinct, non-placeholder
-// name. The dispatch histogram, run reports and the native translator's
-// decline diagnostics all label opcodes through xopName, so a new
-// superinstruction cannot land without its name showing up here.
+// name. The dispatch histogram and run reports label opcodes through
+// xopName, so a new superinstruction cannot land without its name showing
+// up here.
 func TestXopNamesComplete(t *testing.T) {
 	seen := make(map[string]xop, numXops)
 	for op := 0; op < numXops; op++ {

@@ -63,17 +63,17 @@ func TestObsDifferential(t *testing.T) {
 	if rr == nil {
 		t.Fatal("no RunReport attached with a session active")
 	}
-	if rr.Engine != "native" || tracedRes.Engine != "native" {
-		t.Errorf("engine = %q/%q, want native", rr.Engine, tracedRes.Engine)
+	if rr.Engine != "fast" || tracedRes.Engine != "fast" {
+		t.Errorf("engine = %q/%q, want fast", rr.Engine, tracedRes.Engine)
 	}
 	if rr.Counter("sim.block_entries") == 0 || len(rr.SuperHits) == 0 {
 		t.Errorf("run report missing engine activity:\n%s", rr.Table())
 	}
-	if rr.Counter("sim.runs_native") == 0 {
-		t.Errorf("run report missing native-tier selection:\n%s", rr.Table())
+	if rr.Counter("sim.runs_fast") == 0 {
+		t.Errorf("run report missing fast-engine selection:\n%s", rr.Table())
 	}
-	if rr.Counter("sim.native_fallbacks") != 0 {
-		t.Errorf("native tier fell back on a clean program:\n%s", rr.Table())
+	if rr.Counter("sim.verify_fallbacks") != 0 || rr.Counter("sim.stack_fallbacks") != 0 {
+		t.Errorf("fast engine fell back on a clean program:\n%s", rr.Table())
 	}
 
 	var buf bytes.Buffer
