@@ -61,12 +61,13 @@ incr:
 
 # Simulator gate: the fast-vs-reference differential slice (every engine
 # test holds the fast engine bit-identical to the reference oracle, plus
-# the image-cache concurrency test, run isolation and the deadline
-# partial-stats checks) and a one-iteration smoke of the simulator
-# benchmark rows (see DESIGN.md §7). Also exercised by plain `make test`;
-# the race-detector run of ./internal/sim lives in `make mem`.
+# the predecode-memo concurrency and retention tests, run isolation, the
+# refused-mapping check and the deadline partial-stats checks) and a
+# one-iteration smoke of the simulator benchmark rows (see DESIGN.md §7).
+# Also exercised by plain `make test`; the race-detector run of
+# ./internal/sim lives in `make mem`.
 sim:
-	$(GO) test -run 'TestEngines|TestConcurrentRuns|TestRunIsolation|TestXopNames|TestWallClockDeadline|TestDeadlinePartialStatsExact' ./internal/sim ./
+	$(GO) test -run 'TestEngines|TestConcurrentRuns|TestRunDoesNotRetainPrograms|TestRunIsolation|TestBadMemWords|TestXopNames|TestWallClockDeadline|TestDeadlinePartialStatsExact' ./internal/sim ./
 	$(GO) test -run '^$$' -bench 'BenchmarkSim' -benchtime 1x ./
 
 # Procedure-integrator gate: the inline pass unit tests, the inlined-corpus

@@ -7,6 +7,7 @@ import (
 
 	"chow88/internal/mach"
 	"chow88/internal/mcode"
+	"chow88/internal/obs"
 )
 
 // runEngines executes p on the fast engine and the reference oracle under
@@ -384,11 +385,11 @@ func TestEnginesSignedDivisionEdge(t *testing.T) {
 }
 
 // TestConcurrentRuns hammers the default engine from many goroutines: a
-// shared program (image-cache hit path) interleaved with fresh program
-// values (miss path). The fresh programs outnumber imageCacheCap, so the
-// wholesale cache reset runs too. Run under the race detector by
-// `make mem`, this is the test that holds the cache's locking and the
-// shared images' immutability honest.
+// shared program (memo hit path) interleaved with fresh program values
+// (miss path), so workers replace the memo slot under each other's hits.
+// Run under the race detector by `make mem`, this is the test that holds
+// the slot's atomic publication and the shared images' immutability
+// honest.
 func TestConcurrentRuns(t *testing.T) {
 	mk := func() *mcode.Program {
 		return prog(
@@ -406,9 +407,9 @@ func TestConcurrentRuns(t *testing.T) {
 		t.Fatal(werr)
 	}
 	const workers, iters = 8, 60
-	if fresh := workers * ((iters + 2) / 3); fresh <= imageCacheCap {
-		t.Fatalf("%d fresh programs cannot fill the %d-entry image cache", fresh, imageCacheCap)
-	}
+	s := obs.Begin(obs.Options{})
+	defer obs.End()
+	snap := s.Snap()
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
@@ -438,5 +439,13 @@ func TestConcurrentRuns(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Every run either hits the slot or predecodes; each fresh program is
+	// a miss, and each worker's back-to-back shared runs make hits all but
+	// certain.
+	r := s.ReportSince(snap)
+	hits, predecodes := r.Counter("sim.image_cache_hits"), r.Counter("sim.predecodes")
+	if fresh := int64(workers * ((iters + 2) / 3)); hits+predecodes != workers*iters || predecodes < fresh || hits == 0 {
+		t.Fatalf("%d runs (%d on fresh programs) made %d memo hits and %d predecodes", workers*iters, fresh, hits, predecodes)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,7 +30,7 @@ func TestRunHeapAllocBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(p, Options{}); err != nil { // warm the image caches
+	if _, err := Run(p, Options{}); err != nil { // warm the predecode memo
 		t.Fatal(err)
 	}
 	const limit = 64 << 10
@@ -45,6 +46,47 @@ func TestRunHeapAllocBounded(t *testing.T) {
 		if d := after.TotalAlloc - before.TotalAlloc; d >= limit {
 			t.Fatalf("run %d allocated %d heap bytes, want < %d", i, d, limit)
 		}
+	}
+}
+
+// TestRunDoesNotRetainPrograms holds the predecode memo to the most recent
+// program: once a second program has run, the first becomes garbage, while
+// rerunning the second still reuses its image.
+func TestRunDoesNotRetainPrograms(t *testing.T) {
+	mk := func() *mcode.Program {
+		return prog(
+			mcode.Instr{Op: mcode.LI, Rd: mach.T0, Imm: 5},
+			mcode.Instr{Op: mcode.PRINT, Rs: mach.T0},
+			mcode.Instr{Op: mcode.JR, Rs: mach.RA},
+		)
+	}
+	var collected atomic.Bool
+	func() {
+		first := mk()
+		runtime.SetFinalizer(first, func(*mcode.Program) { collected.Store(true) })
+		if _, err := Run(first, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	second := mk()
+	if _, err := Run(second, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100 && !collected.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if !collected.Load() {
+		t.Fatal("a program that ran before the most recent one is still reachable")
+	}
+	obs.Begin(obs.Options{})
+	defer obs.End()
+	res, err := Run(second, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, predecodes := res.Report.Counter("sim.image_cache_hits"), res.Report.Counter("sim.predecodes"); hits != 1 || predecodes != 0 {
+		t.Fatalf("rerun of the most recent program: %d memo hits, %d predecodes; want 1, 0", hits, predecodes)
 	}
 }
 
@@ -113,8 +155,8 @@ func isoProbe() *mcode.Program {
 // run before it left behind: after a polluter on each engine stores to
 // globals and stack words and then returns, traps mid store run, exhausts
 // its budget or overruns its deadline, a probe that only loads those words
-// reads zeros on every engine. The heap fallback, which each such run
-// counts, is held to the same.
+// reads zeros on every engine. Runs on a heap slice, the allocator where
+// unix mmap is unavailable, are held to the same.
 func TestRunIsolation(t *testing.T) {
 	polluters := []struct {
 		name string
@@ -146,15 +188,12 @@ func TestRunIsolation(t *testing.T) {
 		{"fast", pinEngine("fast")},
 		{"reference", RunReference},
 	}
-	obs.Begin(obs.Options{})
-	defer obs.End()
 	for _, mem := range []string{"mapped", "heap"} {
 		t.Run(mem, func(t *testing.T) {
-			fallbacks := int64(0)
 			if mem == "heap" {
-				defer func(f func(int) []int64) { mapMem = f }(mapMem)
-				mapMem = func(int) []int64 { return nil }
-				fallbacks = 1
+				defer func(m func(int) ([]int64, error), u func([]int64)) { mapMem, unmapMem = m, u }(mapMem, unmapMem)
+				mapMem = func(n int) ([]int64, error) { return make([]int64, n), nil }
+				unmapMem = func([]int64) {}
 			}
 			for _, pol := range polluters {
 				for _, e := range engines {
@@ -164,9 +203,6 @@ func TestRunIsolation(t *testing.T) {
 					}
 					if len(res.Output) != len(isoAddrs)-1 || slices.ContainsFunc(res.Output, func(v int64) bool { return v != 7 }) {
 						t.Fatalf("%s polluter on %s: read back %v, want its stores", pol.name, e.name, res.Output)
-					}
-					if n := res.Report.Counter("sim.mem_heap_fallbacks"); n != fallbacks {
-						t.Fatalf("%s polluter on %s: %d heap fallbacks, want %d", pol.name, e.name, n, fallbacks)
 					}
 					res, err = runEngines(t, probe, Options{})
 					if err != nil {

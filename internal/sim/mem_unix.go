@@ -3,20 +3,21 @@
 package sim
 
 import (
+	"os"
 	"syscall"
 	"unsafe"
 )
 
 // mapWords returns n zero words backed by a fresh private anonymous
-// mapping, or nil when the kernel refuses one. The kernel zero-fills each
-// page on first touch, so a run's resident memory is the pages it uses,
-// not the full address space.
-func mapWords(n int) []int64 {
+// mapping, or the kernel's error when it refuses one. The kernel
+// zero-fills each page on first touch, so a run's resident memory is the
+// pages it uses, not the full address space.
+func mapWords(n int) ([]int64, error) {
 	b, err := syscall.Mmap(-1, 0, n*8, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
-		return nil
+		return nil, os.NewSyscallError("mmap", err)
 	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), n)
+	return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), n), nil
 }
 
 // unmapWords returns a mapWords mapping to the kernel.

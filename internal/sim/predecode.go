@@ -16,12 +16,12 @@
 // pays nothing for overflow detection; blocks that fall through without a
 // control instruction get a synthetic terminator carrying the edge.
 //
-// Images are memoized per *mcode.Program, so the experiments harness and
-// repeated Prog.Run calls pay the decode once.
+// The most recently predecoded image is memoized, so rerunning the program
+// just run pays the decode once, and no older program is kept alive.
 package sim
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"chow88/internal/mach"
 	"chow88/internal/mcode"
@@ -307,38 +307,34 @@ type image struct {
 	blockIdx []int32
 }
 
-// imgEntry is one imageCache slot: the predecoded image, or nil with the
-// verification failure that rejected the program — cached too, so every
-// run of a bad image takes the reference path without re-verifying, and
-// the fallback reason survives to be reported on each Result.
+// imgEntry is the memo slot's content: the program it was predecoded
+// from, and its image, or nil with the verification failure that rejected
+// the program — memoized too, so a rerun of a bad image takes the
+// reference path without re-verifying, and the fallback reason survives to
+// be reported on each Result.
 type imgEntry struct {
+	p      *mcode.Program
 	img    *image
 	reason string
 }
 
-// imageCache memoizes predecoded images per program identity. When the
-// cache fills it resets wholesale — the working set (a benchmark suite, a
-// test matrix) sits far below the cap, so eviction is a correctness
-// backstop rather than a tuning knob.
-var imageCache = struct {
-	sync.Mutex
-	imgs map[*mcode.Program]imgEntry
-}{imgs: map[*mcode.Program]imgEntry{}}
+// lastImage memoizes the most recently predecoded program. Every caller
+// outside tests runs each program once, and the reruns (tests, benchmarks,
+// a traced warm rerun) rerun the program they just ran, so one slot catches
+// every hit while keeping at most one dead program and its image alive.
+var lastImage atomic.Pointer[imgEntry]
 
-const imageCacheCap = 128
-
-// imageFor returns the memoized image for p, plus the verification
-// failure message when predecoding rejected it (the image is then nil).
+// imageFor returns the image for p, memoized when p is the most recently
+// predecoded program, plus the verification failure message when
+// predecoding rejected it (the image is then nil).
 func imageFor(p *mcode.Program) (*image, string) {
 	s := obs.Current()
-	imageCache.Lock()
-	e, ok := imageCache.imgs[p]
-	imageCache.Unlock()
-	if ok {
+	if e := lastImage.Load(); e != nil && e.p == p {
 		s.Add(obs.CSimImageCacheHits, 1)
 		return e.img, e.reason
 	}
 	sp := s.Span(obs.PhasePredecode, "predecode")
+	e := &imgEntry{p: p}
 	e.img, e.reason = predecode(p)
 	sp.End()
 	s.Add(obs.CSimPredecodes, 1)
@@ -349,12 +345,7 @@ func imageFor(p *mcode.Program) (*image, string) {
 		}
 		s.Add(obs.CSimTailInlined, int64(inlined))
 	}
-	imageCache.Lock()
-	if len(imageCache.imgs) >= imageCacheCap {
-		imageCache.imgs = make(map[*mcode.Program]imgEntry, imageCacheCap)
-	}
-	imageCache.imgs[p] = e
-	imageCache.Unlock()
+	lastImage.Store(e)
 	return e.img, e.reason
 }
 

@@ -5,16 +5,19 @@
 // stores; 12-cycle multiply; 35-cycle divide). It fills a pixie.Stats with
 // the trace counters as it runs. Each run's memory is a fresh demand-zero
 // mapping (mem_unix.go), so a run starts from all-zero memory and only the
-// pages it touches become resident.
+// pages it touches become resident; a mapping the system refuses fails the
+// run. Builds without unix mmap use a heap slice instead (mem_other.go).
 //
 // Two engines share the machine model. RunReference is the original
 // per-instruction interpreter and the oracle the other is tested against.
 // The fast engine — Run's default — executes a predecoded image: the
-// program is translated once into a dense internal ISA, basic blocks are
+// program is translated into a dense internal ISA, basic blocks are
 // discovered, and each block's statistics are accumulated in one step per
-// block entry (see predecode.go / fastvm.go). Both are bit-identical in
-// Output, Stats and InstrCounts, which the differential tests enforce;
-// Options.Engine pins a specific engine.
+// block entry (see predecode.go / fastvm.go). The most recently predecoded
+// image is memoized, so rerunning the program just run skips the
+// translation. Both engines are bit-identical in Output, Stats and
+// InstrCounts, which the differential tests enforce; Options.Engine pins a
+// specific engine.
 package sim
 
 import (
@@ -34,8 +37,9 @@ type Options struct {
 	// MemWords is the memory size in words; 0 selects a default sized to
 	// the program's data segment plus a 1 MiW stack. It sets the address
 	// space, not the footprint: the memory is mapped on demand, so a run
-	// holds only the pages it touches. Negative values and values whose
-	// byte size overflows an int make the run fail with ErrBadMemWords.
+	// holds only the pages it touches. Negative values, values whose byte
+	// size overflows an int, and sizes the system refuses to map make the
+	// run fail with ErrBadMemWords.
 	MemWords int
 	// MaxInstrs bounds execution; 0 means the default (2e9).
 	MaxInstrs int64
@@ -71,16 +75,9 @@ func ValidateEngine(name string) error {
 }
 
 // ErrBadMemWords reports an Options.MemWords that no run can map: negative,
-// or so large that its size in bytes overflows an int.
+// so large that its size in bytes overflows an int, or refused by the
+// system's mapping call (the wrapped error then carries its errno).
 var ErrBadMemWords = errors.New("memory size out of range")
-
-// validateMemWords checks Options.MemWords before any memory is mapped.
-func validateMemWords(n int) error {
-	if n < 0 || n > math.MaxInt/8 {
-		return fmt.Errorf("%w: %d words", ErrBadMemWords, n)
-	}
-	return nil
-}
 
 const defaultMaxInstrs = int64(2_000_000_000)
 
@@ -147,10 +144,7 @@ type machine struct {
 	// loops pay one always-false compare.
 	deadline   time.Time
 	deadlineAt int64
-	// mapped marks mem as a mapWords mapping that release must unmap;
-	// false for the heap fallback.
-	mapped bool
-	res    *Result
+	res        *Result
 	// superHits and blockEntries accumulate the fast engine's per-
 	// superinstruction dispatch histogram (indexed by xop) and its total
 	// block entries. flush fills them from the block entry counters —
@@ -160,21 +154,24 @@ type machine struct {
 	blockEntries int64
 }
 
-// mapMem allocates each run's memory; tests swap it to drive the heap
-// fallback.
-var mapMem = mapWords
+// mapMem and unmapMem allocate and release each run's memory; tests swap
+// them to run on a heap slice.
+var mapMem, unmapMem = mapWords, unmapWords
 
 // release unmaps the machine's memory. The Result never aliases it, so
 // this is safe as soon as the run has ended.
 func (m *machine) release() {
-	if m.mapped {
-		unmapWords(m.mem)
-	}
+	unmapMem(m.mem)
 	m.mem = nil
 }
 
-func newMachine(p *mcode.Program, opts Options) *machine {
+// newMachine maps the run's memory and sets up its state. A memory size
+// out of range, or one the system refuses to map, is ErrBadMemWords.
+func newMachine(p *mcode.Program, opts Options) (*machine, error) {
 	memWords := opts.MemWords
+	if memWords < 0 || memWords > math.MaxInt/8 {
+		return nil, fmt.Errorf("%w: %d words", ErrBadMemWords, memWords)
+	}
 	if memWords == 0 {
 		memWords = p.DataSize + 1<<20
 	}
@@ -182,19 +179,18 @@ func newMachine(p *mcode.Program, opts Options) *machine {
 	if maxInstrs == 0 {
 		maxInstrs = defaultMaxInstrs
 	}
+	mem, err := mapMem(memWords)
+	if err != nil {
+		return nil, fmt.Errorf("%w: mapping %d words: %w", ErrBadMemWords, memWords, err)
+	}
 	m := &machine{
 		p:          p,
-		mem:        mapMem(memWords),
+		mem:        mem,
 		memWords:   int64(memWords),
 		stackFloor: int64(p.DataSize),
 		maxInstrs:  maxInstrs,
 		deadlineAt: math.MaxInt64,
 		res:        &Result{},
-	}
-	m.mapped = m.mem != nil
-	if !m.mapped {
-		obs.Current().Add(obs.CSimMemHeapFallback, 1)
-		m.mem = make([]int64, memWords)
 	}
 	if opts.Deadline > 0 {
 		m.deadline = time.Now().Add(opts.Deadline)
@@ -204,7 +200,7 @@ func newMachine(p *mcode.Program, opts Options) *machine {
 	if opts.Profile {
 		m.res.InstrCounts = make([]int64, len(p.Code))
 	}
-	return m
+	return m, nil
 }
 
 // Run executes the program from its startup stub on the selected engine
@@ -217,15 +213,14 @@ func Run(p *mcode.Program, opts Options) (*Result, error) {
 	if err := ValidateEngine(opts.Engine); err != nil {
 		return nil, err
 	}
-	if err := validateMemWords(opts.MemWords); err != nil {
+	m, err := newMachine(p, opts)
+	if err != nil {
 		return nil, err
 	}
+	defer m.release()
 	s := obs.Current()
 	snap := s.Snap()
 	sp := s.Span(obs.PhaseRun, "sim.Run")
-	m := newMachine(p, opts)
-	defer m.release()
-	var err error
 	if opts.Engine == "reference" {
 		m.res.Engine = "reference"
 		s.Add(obs.CSimRunsRef, 1)
@@ -262,17 +257,17 @@ func Run(p *mcode.Program, opts Options) (*Result, error) {
 // interpreter. It is the oracle the predecoded engine is differentially
 // tested against; Output, Stats and InstrCounts match Run bit for bit.
 func RunReference(p *mcode.Program, opts Options) (*Result, error) {
-	if err := validateMemWords(opts.MemWords); err != nil {
+	m, err := newMachine(p, opts)
+	if err != nil {
 		return nil, err
 	}
+	defer m.release()
 	s := obs.Current()
 	snap := s.Snap()
 	sp := s.Span(obs.PhaseRun, "sim.RunReference")
-	m := newMachine(p, opts)
-	defer m.release()
 	m.res.Engine = "reference"
 	s.Add(obs.CSimRunsRef, 1)
-	_, _, err := m.interpret(0, nil)
+	_, _, err = m.interpret(0, nil)
 	sp.End()
 	m.finishObs(s, snap)
 	return m.res, err

@@ -372,7 +372,9 @@ func TestDefaultEngine(t *testing.T) {
 }
 
 // TestBadMemWords requires an unmappable Options.MemWords to fail with
-// ErrBadMemWords on every engine — never a makeslice panic.
+// ErrBadMemWords on every engine — never a makeslice panic. 1<<50 words
+// passes the range check but is larger than any address space the system
+// will map, so it exercises the refused-mapping path.
 func TestBadMemWords(t *testing.T) {
 	p := prog(mcode.Instr{Op: mcode.JR, Rs: mach.RA})
 	engines := []struct {
@@ -383,7 +385,7 @@ func TestBadMemWords(t *testing.T) {
 		{"fast", pinEngine("fast")},
 		{"reference", RunReference},
 	}
-	for _, words := range []int{-1, 1 << 61, math.MaxInt} {
+	for _, words := range []int{-1, 1 << 50, 1 << 61, math.MaxInt} {
 		for _, e := range engines {
 			res, err := e.run(p, Options{MemWords: words})
 			if !errors.Is(err, ErrBadMemWords) || res != nil {
