@@ -12,8 +12,8 @@ build:
 test:
 	$(GO) test ./...
 
-# Full test suite under the race detector (includes the parallel-pipeline
-# determinism and wide-call-graph race tests).
+# Full test suite under the race detector (includes the concurrent-compile
+# race test on the shared front cache and obs session).
 race:
 	$(GO) test -race ./...
 
@@ -72,7 +72,7 @@ sim:
 
 # Procedure-integrator gate: the inline pass unit tests, the inlined-corpus
 # slice (clean validator run across all modes, fast-vs-reference differential,
-# parallel/sequential determinism, the mode-C cycles-win acceptance bar and
+# cold/cached front-end determinism, the mode-C cycles-win acceptance bar and
 # the statefile mode-skew fallback) and a one-iteration smoke of the inline
 # on/off benchmark rows (see DESIGN.md §12). Also exercised by plain
 # `make test`; this target runs the inlining slice alone.
@@ -95,8 +95,8 @@ chowd:
 # differential suite at the partition-space extremes (0- and 6-parameter
 # conventions, all-caller and all-callee partitions, validator in strict
 # mode), and the sweep smoke — a sampled convention set over a 3-program
-# workload with explain-journal attribution and parallel/sequential
-# byte-determinism, plus the per-program profile-guided selection gate
+# workload with explain-journal attribution and byte-determinism across
+# candidate worker counts, plus the per-program profile-guided selection gate
 # (never regress vs the default convention, beat it somewhere). Also
 # exercised by plain `make test`; this target runs the slice alone.
 sweep:
@@ -124,8 +124,8 @@ fuzz:
 
 # The gate every change must pass: formatting, vet, build, the race-enabled
 # test suite (./... includes the incr, front and daemon packages, so the
-# incremental driver's and admission queue's concurrency run under the
-# detector), the incremental differential suite, the fast-vs-reference
+# incremental driver's, front cache's and admission queue's concurrency run
+# under the detector), the incremental differential suite, the fast-vs-reference
 # simulator gate, the chowd end-to-end gate, the convention-sweep gate,
 # the simulator-memory gate (windows and darwin cross-builds of the
 # mapping's build-tag split), a one-iteration smoke of the compile,

@@ -45,7 +45,6 @@ func sameOutput(a, b []int64) bool {
 // The service-path points (daemon worker panic, statefile corruption) are
 // exercised by internal/daemon's chaos suite.
 func TestChaosDifferential(t *testing.T) {
-	forceParallel(t)
 	oracle := oracleOutputs(t)
 	firedSomewhere := map[faultinject.Point]bool{}
 	for _, pt := range faultinject.CompilePoints() {
@@ -140,7 +139,6 @@ func TestChaosStrict(t *testing.T) {
 // saves all migrate to its ancestors and the point is only eligible on
 // open procedures, which the first rung replans without demoting.
 func TestChaosEscalationNoDoubleDemotion(t *testing.T) {
-	forceParallel(t)
 	oracle := oracleOutputs(t)
 
 	escalated := false
@@ -222,10 +220,9 @@ func TestChaosEscalationNoDoubleDemotion(t *testing.T) {
 
 // TestDemotionReplanDeterminism pins an injected fault to one procedure and
 // requires the degraded compile to be byte-identical across repeated runs
-// and across the parallel and sequential pipelines: graceful degradation
-// must not cost determinism.
+// and across cold and front-cached compiles: graceful degradation must not
+// cost determinism.
 func TestDemotionReplanDeterminism(t *testing.T) {
-	forceParallel(t)
 	b := benchprog.Lookup("stanford")
 
 	// Find a deterministic victim: the first closed procedure with a
@@ -246,11 +243,11 @@ func TestDemotionReplanDeterminism(t *testing.T) {
 		t.Fatal("no closed procedure to corrupt")
 	}
 
-	compileFaulted := func(sequential bool) *Program {
+	compileFaulted := func(cold bool) *Program {
 		t.Helper()
 		faultinject.Arm(&faultinject.Plan{Point: faultinject.PointCorruptSummary, Func: victim})
 		mode := ModeC()
-		mode.Sequential = sequential
+		mode.Sequential = cold
 		prog, err := Compile(b.Source, mode)
 		faultinject.Disarm()
 		if err != nil {
@@ -265,10 +262,10 @@ func TestDemotionReplanDeterminism(t *testing.T) {
 	ref := compileFaulted(false)
 	refAsm := ref.Disassemble()
 	if again := compileFaulted(false).Disassemble(); again != refAsm {
-		t.Error("degraded parallel compile is not deterministic across runs")
+		t.Error("degraded compile is not deterministic across runs")
 	}
-	if seq := compileFaulted(true).Disassemble(); seq != refAsm {
-		t.Error("degraded compile differs between parallel and sequential pipelines")
+	if cold := compileFaulted(true).Disassemble(); cold != refAsm {
+		t.Error("degraded compile differs between cold and front-cached compiles")
 	}
 
 	// The degraded binary still matches the clean one's behaviour.

@@ -77,8 +77,8 @@ type Program struct {
 	Report *obs.CompileReport
 	// Demotions records every graceful-degradation intervention taken while
 	// compiling (procedures demoted to the open convention or replanned
-	// after a validation failure or recovered worker panic). Empty for a
-	// clean compile. Also available on Report when one is attached.
+	// after a validation failure or recovered panic). Empty for a clean
+	// compile. Also available on Report when one is attached.
 	Demotions []obs.Demotion
 	// Inline is the procedure integrator's report when the mode enabled
 	// inlining and the integrated build survived validation; nil otherwise
@@ -89,12 +89,11 @@ type Program struct {
 
 // Compile compiles CW source under the given mode.
 //
-// The pipeline is parallel by default: the front end (through the -O2
-// optimizer) is shared across modes through internal/front's source-keyed
-// cache, register allocation proceeds wavefront-parallel over the call
-// graph, and machine code is emitted per function concurrently. Output is
-// byte-identical to the sequential pipeline, which remains reachable via
-// mode.Sequential.
+// The front end (through the -O2 optimizer) is shared across modes through
+// internal/front's source-keyed cache; mode.Sequential bypasses the cache,
+// with byte-identical output. Register allocation is then one bottom-up
+// pass over the call graph, and machine code is emitted function by
+// function in module order.
 //
 // Under mode.Validate (on in every mode constructor) the linkage-invariant
 // validator runs after planning and after code generation; a procedure

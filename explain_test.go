@@ -1,7 +1,7 @@
 package chow88
 
 // Tests for the decision-provenance explain layer: journal determinism
-// across the parallel and sequential pipelines, the golden journals for
+// across cold and front-cached compiles, the golden journals for
 // nim under modes B and C, the suite-wide cause invariants, output
 // neutrality (an active journal must not perturb generated code), and the
 // explaindiff attribution bar.
@@ -39,30 +39,29 @@ func journalFor(t *testing.T, src string, mode Mode) (*explain.Artifact, *Progra
 }
 
 // TestExplainDeterminism is the journal's contract: for every suite
-// program under every measurement mode, the parallel pipeline's journal is
-// byte-identical to the sequential pipeline's. Decisions carry no
-// timestamps or worker identities, every set iterated while recording has
-// a fixed order, and the artifact serializes in module order — so the JSON
-// forms must match exactly.
+// program under every measurement mode, the journal of a compile from the
+// front cache is byte-identical to a cold compile's (mode.Sequential
+// bypasses the cache). Decisions carry no timestamps, every set iterated
+// while recording has a fixed order, and the artifact serializes in module
+// order — so the JSON forms must match exactly.
 func TestExplainDeterminism(t *testing.T) {
-	forceParallel(t)
 	for _, p := range benchprog.All() {
 		for _, mode := range allModes() {
 			t.Run(fmt.Sprintf("%s/%s", p.Name, mode.Name), func(t *testing.T) {
-				seqMode := mode
-				seqMode.Sequential = true
-				seqArt, _ := journalFor(t, p.Source, seqMode)
-				parArt, _ := journalFor(t, p.Source, mode)
-				seq, err := json.Marshal(seqArt)
+				coldMode := mode
+				coldMode.Sequential = true
+				coldArt, _ := journalFor(t, p.Source, coldMode)
+				cachedArt, _ := journalFor(t, p.Source, mode)
+				cold, err := json.Marshal(coldArt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				par, err := json.Marshal(parArt)
+				cached, err := json.Marshal(cachedArt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if string(seq) != string(par) {
-					t.Errorf("parallel journal diverges from sequential\n%s", firstDiff(string(seq), string(par)))
+				if string(cold) != string(cached) {
+					t.Errorf("cached compile's journal diverges from the cold compile's\n%s", firstDiff(string(cold), string(cached)))
 				}
 			})
 		}

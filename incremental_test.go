@@ -85,7 +85,6 @@ func definedFuncs(t testing.TB, src string) []string {
 // compile of the edited source, and an untouched rebuild must reuse
 // every function.
 func TestIncrementalByteIdentity(t *testing.T) {
-	forceParallel(t)
 	for _, mode := range []Mode{ModeBase(), ModeB(), ModeC()} {
 		for _, b := range benchprog.All() {
 			t.Run(mode.Name+"/"+b.Name, func(t *testing.T) {
@@ -234,7 +233,6 @@ func mutate(t *testing.T, rng *rand.Rand, src string, step int) string {
 // every step, and that the incremental path (not the fallback) is doing
 // the work.
 func TestIncrementalEditSequences(t *testing.T) {
-	forceParallel(t)
 	steps := 8
 	if testing.Short() {
 		steps = 3
@@ -279,7 +277,6 @@ func TestIncrementalEditSequences(t *testing.T) {
 // configurations D and E, whose linkage vectors differ most). Trimmed
 // under -short; `make incr` runs it in full.
 func TestIncrementalEditSequenceStress(t *testing.T) {
-	forceParallel(t)
 	modes := []Mode{ModeBase(), ModeB(), ModeC(), ModeD(), ModeE()}
 	seeds, steps := int64(12), 12
 	if testing.Short() {
@@ -317,7 +314,6 @@ func TestIncrementalEditSequenceStress(t *testing.T) {
 // that function once its republished linkage matches (summary cut-off),
 // reuse every other function's plan and code, and still be byte-identical.
 func TestIncrementalFrontier(t *testing.T) {
-	forceParallel(t)
 	b := benchprog.Large()
 	mode := ModeC()
 	s := obs.Begin(obs.Options{})

@@ -13,8 +13,8 @@ import (
 
 // The procedure integrator's contract: integrated programs behave exactly
 // like their originals (same Output on every engine), pass the linkage
-// validator cleanly under every mode, stay byte-deterministic across the
-// parallel and sequential pipelines, and — the point of the exercise —
+// validator cleanly under every mode, stay byte-deterministic across cold
+// and front-cached compiles, and — the point of the exercise —
 // actually run faster under mode C with profile feedback.
 
 // TestInlineCleanCorpus compiles the whole suite under every measurement
@@ -76,27 +76,29 @@ func TestInlineDifferentialThreeEngines(t *testing.T) {
 }
 
 // TestInlineParallelSequentialDeterminism: the integrated build must be
-// byte-identical whichever pipeline compiled it.
+// byte-identical whether its front end came from the cache or was built
+// cold (mode.Sequential). The inliner rewrites the module in place, so
+// this also holds that it never reaches the cached master.
 func TestInlineParallelSequentialDeterminism(t *testing.T) {
 	progs := benchprog.All()
 	if testing.Short() {
 		progs = progs[:4]
 	}
 	for _, bp := range progs {
-		par := ModeC()
-		par.Inline = true
-		seq := par
-		seq.Sequential = true
-		p1, err := Compile(bp.Source, par)
+		cached := ModeC()
+		cached.Inline = true
+		cold := cached
+		cold.Sequential = true
+		p1, err := Compile(bp.Source, cached)
 		if err != nil {
-			t.Fatalf("%s: parallel: %v", bp.Name, err)
+			t.Fatalf("%s: cached: %v", bp.Name, err)
 		}
-		p2, err := Compile(bp.Source, seq)
+		p2, err := Compile(bp.Source, cold)
 		if err != nil {
-			t.Fatalf("%s: sequential: %v", bp.Name, err)
+			t.Fatalf("%s: cold: %v", bp.Name, err)
 		}
 		if p1.Disassemble() != p2.Disassemble() {
-			t.Fatalf("%s: parallel and sequential inlined builds diverge", bp.Name)
+			t.Fatalf("%s: cached and cold inlined builds diverge", bp.Name)
 		}
 		if !reflect.DeepEqual(p1.Code, p2.Code) {
 			t.Fatalf("%s: inlined images diverge beyond the disassembly", bp.Name)

@@ -9,9 +9,8 @@ import (
 // shaped for the compilation pipeline itself rather than for Table 1: a
 // wide, shallow call graph (many independent leaves under a tier of middle
 // functions under main) whose per-function bodies carry enough register
-// pressure that allocation dominates compile time. The wavefront scheduler
-// condenses it into three levels, so it exposes the pipeline's available
-// parallelism almost perfectly.
+// pressure that allocation dominates compile time. It is the large-program
+// case of the compile benchmarks and the compile determinism tests.
 //
 // The program is deterministic, terminating and trap-free (all array
 // indices derive from nonnegative loop counters), so it can also be

@@ -213,44 +213,6 @@ func (g *Graph) computePostOrder() {
 	g.PostOrder = order
 }
 
-// Wavefronts partitions the non-extern functions into dependency levels for
-// parallel bottom-up allocation: every callee of a function that could
-// publish a register-usage summary (in particular every closed callee)
-// appears in a strictly earlier level, so that when a level is dispatched,
-// all summaries its members may consult are already published. Intra-cycle
-// edges impose no ordering — cycle members are open and never publish.
-//
-// Within a level, functions appear in PostOrder position, and the
-// concatenation of all levels is a permutation of PostOrder, so a scheduler
-// that drains levels front to back visits a valid bottom-up order.
-func (g *Graph) Wavefronts() [][]*ir.Func {
-	level := make(map[*ir.Func]int, len(g.PostOrder))
-	max := -1
-	for _, f := range g.PostOrder {
-		l := 0
-		for _, c := range g.Callees[f] {
-			if c == f || c.Extern {
-				continue
-			}
-			// A callee with no level yet appears later in PostOrder, which
-			// only happens when the edge is a DFS back edge: f and c share a
-			// cycle, both are open, and no ordering is required.
-			if lc, ok := level[c]; ok && lc+1 > l {
-				l = lc + 1
-			}
-		}
-		level[f] = l
-		if l > max {
-			max = l
-		}
-	}
-	fronts := make([][]*ir.Func, max+1)
-	for _, f := range g.PostOrder {
-		fronts[level[f]] = append(fronts[level[f]], f)
-	}
-	return fronts
-}
-
 // Height returns the call-graph height from f: 1 for a leaf, following
 // direct edges only and treating back edges as leaves. The paper identifies
 // height as the parameter governing register exhaustion.

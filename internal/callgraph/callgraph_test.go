@@ -157,94 +157,6 @@ func TestOpenNames(t *testing.T) {
 	}
 }
 
-// checkWavefronts validates the structural invariants of any wavefront
-// partition: it is a permutation of PostOrder, and every closed callee sits
-// in a strictly earlier level than its caller.
-func checkWavefronts(t *testing.T, g *Graph) map[*ir.Func]int {
-	t.Helper()
-	fronts := g.Wavefronts()
-	level := map[*ir.Func]int{}
-	count := 0
-	for l, fs := range fronts {
-		if len(fs) == 0 {
-			t.Errorf("level %d is empty", l)
-		}
-		for _, f := range fs {
-			if _, dup := level[f]; dup {
-				t.Errorf("%s appears twice", f.Name)
-			}
-			level[f] = l
-			count++
-		}
-	}
-	if count != len(g.PostOrder) {
-		t.Errorf("wavefronts cover %d functions, PostOrder has %d", count, len(g.PostOrder))
-	}
-	for _, f := range g.PostOrder {
-		for _, c := range g.Callees[f] {
-			if c.Extern || c == f || g.Open[c] {
-				continue
-			}
-			if level[c] >= level[f] {
-				t.Errorf("closed callee %s (level %d) not before caller %s (level %d)",
-					c.Name, level[c], f.Name, level[f])
-			}
-		}
-	}
-	return level
-}
-
-func TestWavefrontsChain(t *testing.T) {
-	mod, g := buildGraph(t, chainSrc)
-	level := checkWavefronts(t, g)
-	// leaf < mid < top < main, and a pure chain forces four levels.
-	want := map[string]int{"leaf": 0, "mid": 1, "top": 2, "main": 3}
-	for name, l := range want {
-		if got := level[mod.Lookup(name)]; got != l {
-			t.Errorf("level(%s) = %d, want %d", name, got, l)
-		}
-	}
-}
-
-func TestWavefrontsWideGraph(t *testing.T) {
-	// Many independent leaves under one root must collapse into two levels:
-	// that is the parallelism the wavefront scheduler exploits.
-	src := `
-func l0(x int) int { return x + 0; }
-func l1(x int) int { return x + 1; }
-func l2(x int) int { return x + 2; }
-func l3(x int) int { return x + 3; }
-func main() { print(l0(1) + l1(2) + l2(3) + l3(4)); }`
-	mod, g := buildGraph(t, src)
-	level := checkWavefronts(t, g)
-	for _, name := range []string{"l0", "l1", "l2", "l3"} {
-		if got := level[mod.Lookup(name)]; got != 0 {
-			t.Errorf("level(%s) = %d, want 0", name, got)
-		}
-	}
-	if got := level[mod.Lookup("main")]; got != 1 {
-		t.Errorf("level(main) = %d, want 1", got)
-	}
-}
-
-func TestWavefrontsCycleMembersShareNoOrdering(t *testing.T) {
-	mod, g := buildGraph(t, `
-func even(n int) int { if (n == 0) { return 1; } return odd(n - 1); }
-func odd(n int) int { if (n == 0) { return 0; } return even(n - 1); }
-func helper(x int) int { return x * 2; }
-func main() { print(even(4) + helper(1)); }`)
-	level := checkWavefronts(t, g)
-	// The cycle members are open; only the intra-cycle back edge is exempt
-	// from ordering, so the pair still levels consistently below main.
-	if level[mod.Lookup("even")] >= level[mod.Lookup("main")] ||
-		level[mod.Lookup("odd")] >= level[mod.Lookup("main")] {
-		t.Errorf("cycle members must still precede their caller: %v", level)
-	}
-	if got := level[mod.Lookup("helper")]; got != 0 {
-		t.Errorf("level(helper) = %d, want 0", got)
-	}
-}
-
 func TestDeadFunctionStillProcessed(t *testing.T) {
 	mod, g := buildGraph(t, `
 func unreached(x int) int { return x; }

@@ -11,11 +11,8 @@ package codegen
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"chow88/internal/core"
 	"chow88/internal/explain"
@@ -27,13 +24,9 @@ import (
 	"chow88/internal/regalloc"
 )
 
-// Generate produces a linked program image from the allocation plan.
-//
-// Every function's body is emitted independently of the others — emission
-// reads only the (now frozen) plan and the oracle — so by default the bodies
-// are generated concurrently and then linked in deterministic module order,
-// which keeps the image byte-identical to sequential generation
-// (pp.Mode.Sequential).
+// Generate produces a linked program image from the allocation plan: each
+// function's body is emitted from its own (now frozen) plan and the oracle,
+// then the bodies are linked in module order.
 func Generate(pp *core.ProgramPlan) (*mcode.Program, error) {
 	// Placement decisions journal at emission time; the degradation loop may
 	// generate several times per compile, and only the last generation's
@@ -86,65 +79,39 @@ func (g *fngen) funcCode() (*FuncCode, error) {
 	return fc, nil
 }
 
-// EmitFuncs emits every non-extern function's body (concurrently unless
-// pp.Mode.Sequential), returning one FuncCode per module function, nil for
-// externs. The first error in module order wins, for a deterministic
-// message.
+// EmitFuncs emits every non-extern function's body in module order,
+// returning one FuncCode per module function, nil for externs. Every
+// function is emitted even after a failure, and the first error in module
+// order wins, for a deterministic message.
 func EmitFuncs(pp *core.ProgramPlan) ([]*FuncCode, error) {
 	os := obs.Current()
 	codes := make([]*FuncCode, len(pp.Module.Funcs))
-	errs := make([]error, len(pp.Module.Funcs))
-	genOne := func(tid, i int) {
-		f := pp.Module.Funcs[i]
+	var first error
+	for i, f := range pp.Module.Funcs {
 		if f.Extern {
-			return
+			continue
 		}
 		fp := pp.Funcs[f]
 		if fp == nil {
-			errs[i] = &FuncError{Func: f.Name, Err: fmt.Errorf("no plan recorded")}
-			return
+			if first == nil {
+				first = &FuncError{Func: f.Name, Err: fmt.Errorf("no plan recorded")}
+			}
+			continue
 		}
-		sp := os.SpanTID(obs.PhaseCodegen, f.Name, tid)
+		sp := os.Span(obs.PhaseCodegen, f.Name)
 		fc, err := EmitFunc(pp, fp)
 		sp.End()
 		if err != nil {
-			errs[i] = err
-			return
+			if first == nil {
+				first = err
+			}
+			continue
 		}
 		codes[i] = fc
 		os.Add(obs.CCodegenFuncs, 1)
 	}
-	if workers := runtime.GOMAXPROCS(0); workers > 1 && !pp.Mode.Sequential {
-		var next atomic.Int64
-		next.Store(-1)
-		var wg sync.WaitGroup
-		if workers > len(pp.Module.Funcs) {
-			workers = len(pp.Module.Funcs)
-		}
-		os.SetMax(obs.GCodegenWorkers, int64(workers))
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(tid int) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1))
-					if i >= len(pp.Module.Funcs) {
-						return
-					}
-					genOne(tid, i)
-				}
-			}(w + 1)
-		}
-		wg.Wait()
-	} else {
-		for i := range pp.Module.Funcs {
-			genOne(0, i)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if first != nil {
+		return nil, first
 	}
 	return codes, nil
 }
@@ -153,7 +120,7 @@ func EmitFuncs(pp *core.ProgramPlan) ([]*FuncCode, error) {
 // pipeline can degrade just that procedure instead of failing the module.
 type FuncError struct {
 	Func string
-	// Recovered marks an error recovered from a worker panic (only under
+	// Recovered marks an error recovered from a panic (only under
 	// Mode.Validate; without validation panics propagate as before).
 	Recovered bool
 	Err       error
@@ -168,8 +135,8 @@ func (e *FuncError) Error() string {
 
 func (e *FuncError) Unwrap() error { return e.Err }
 
-// emitOne generates one function body. Under Mode.Validate a worker panic
-// is contained and surfaced as a *FuncError for graceful degradation.
+// emitOne generates one function body. Under Mode.Validate a panic is
+// contained and surfaced as a *FuncError for graceful degradation.
 func emitOne(pp *core.ProgramPlan, fp *core.FuncPlan) (g *fngen, err error) {
 	if pp.Mode.Validate {
 		defer func() {

@@ -10,7 +10,7 @@ import (
 
 // Graceful degradation (the paper's own escape hatch, §3): an open
 // procedure always uses the safe default convention, so a procedure whose
-// plan fails validation — or whose planning worker panicked — can be
+// plan fails validation — or whose planning panicked — can be
 // demoted to open and re-planned instead of failing or miscompiling the
 // module. Demotion invalidates every ancestor whose plan consumed the
 // demoted summary; the affected call-graph slice re-plans sequentially in

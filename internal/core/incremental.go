@@ -51,7 +51,7 @@ func (pp *ProgramPlan) SeedSummary(f *ir.Func, s *Summary) {
 
 // PlanOne (re)plans a single function against the currently published
 // summaries: any stale summary of f is withdrawn first, the plan is
-// recomputed exactly as PlanModule's sequential walk would, and the fresh
+// recomputed exactly as PlanModule's walk would, and the fresh
 // summary republishes. Panics are contained under Mode.Validate, as in
 // Replan.
 func (pp *ProgramPlan) PlanOne(f *ir.Func) (*FuncPlan, error) {

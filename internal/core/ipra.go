@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"chow88/internal/callgraph"
 	"chow88/internal/explain"
@@ -35,18 +33,17 @@ type Mode struct {
 	// DisableSplitting turns off the live-range splitting round (for
 	// ablation; Chow's allocator splits by default).
 	DisableSplitting bool
-	// Sequential runs the original single-threaded pipeline and bypasses the
-	// front-end compile cache: PlanModule walks the call graph one function
-	// at a time and codegen emits functions in module order. The default
-	// (false) pipeline — wavefront-parallel allocation, parallel per-function
-	// codegen, cached front end — produces byte-identical output; this switch
-	// exists for differential testing and debugging.
+	// Sequential bypasses the front-end compile cache (internal/front): the
+	// source is parsed, checked, lowered and optimized afresh instead of
+	// cloned from a cached master. Output is byte-identical either way; the
+	// switch exists for differential testing, debugging and cold-compile
+	// measurement.
 	Sequential bool
 	// Validate runs the linkage-invariant validator (internal/check) after
-	// planning and after code generation, contains per-function worker
-	// panics, and gracefully degrades offending procedures (demotion to the
-	// open convention and re-planning of the affected call-graph slice)
-	// instead of miscompiling or crashing. The mode constructors enable it;
+	// planning and after code generation, contains per-function panics,
+	// and gracefully degrades offending procedures (demotion to the open
+	// convention and re-planning of the affected call-graph slice) instead
+	// of miscompiling or crashing. The mode constructors enable it;
 	// a zero Mode leaves it off.
 	Validate bool
 	// Strict turns every degradation into a hard error: a validation
@@ -140,8 +137,9 @@ type ProgramPlan struct {
 	Order []*ir.Func
 	// Oracle answers call-site linkage queries for code generation.
 	Oracle regalloc.Oracle
-	// Failed records planning-worker panics recovered under Mode.Validate,
-	// keyed by function; the pipeline demotes and re-plans these.
+	// Failed records per-function planning panics recovered under
+	// Mode.Validate, keyed by function; the pipeline demotes and re-plans
+	// these.
 	Failed map[*ir.Func]string
 	// Inline is the procedure integrator's report when the pipeline ran it
 	// before planning; nil otherwise. Attached here so the drivers see the
@@ -151,7 +149,7 @@ type ProgramPlan struct {
 	failedMu sync.Mutex
 }
 
-// noteFailure records a recovered planning-worker panic for f.
+// noteFailure records a recovered planning panic for f.
 func (pp *ProgramPlan) noteFailure(f *ir.Func, cause any) {
 	pp.failedMu.Lock()
 	if pp.Failed == nil {
@@ -165,15 +163,9 @@ func (pp *ProgramPlan) noteFailure(f *ir.Func, cause any) {
 // PlanModule performs register allocation for every function of m under the
 // given mode: one pass over the call graph in bottom-up order, extending
 // the intra-procedural priority-based coloring with callee register-usage
-// summaries exactly as in §2–§4 and §6 of the paper.
-//
-// The pass only requires that a function's closed callees be planned before
-// the function itself (their summaries are its only cross-function input),
-// so by default the call graph is condensed into dependency levels
-// (callgraph.Wavefronts) and each level's functions are allocated
-// concurrently by a bounded worker pool. Per-function planning is pure given
-// the oracle, and summaries publish through the synchronized oracle, so the
-// result is byte-identical to the sequential walk (mode.Sequential).
+// summaries exactly as in §2–§4 and §6 of the paper. A function's closed
+// callees precede it in PostOrder, so their summaries (its only
+// cross-function input) are published before it is planned.
 func PlanModule(m *ir.Module, mode Mode) *ProgramPlan {
 	forceOpen := map[string]bool{}
 	for _, n := range mode.ForceOpen {
@@ -189,9 +181,8 @@ func PlanModule(m *ir.Module, mode Mode) *ProgramPlan {
 		Order:  g.PostOrder,
 	}
 	if j := explain.Current(); j != nil {
-		// Journal buckets serialize in module order regardless of which
-		// worker records them, which is what makes parallel and sequential
-		// explain output byte-identical.
+		// Journal buckets serialize in module order, not in the bottom-up
+		// order they are recorded in.
 		names := make([]string, 0, len(m.Funcs))
 		for _, f := range m.Funcs {
 			if !f.Extern {
@@ -213,10 +204,10 @@ func PlanModule(m *ir.Module, mode Mode) *ProgramPlan {
 
 	plan := func(f *ir.Func) (fp *FuncPlan) {
 		if mode.Validate {
-			// Contain worker panics: the function is recorded as failed and
-			// the pipeline demotes and re-plans it instead of crashing the
-			// compile. Its summary is never published, so concurrently
-			// planned callers already see the safe default linkage.
+			// Contain per-function panics: the function is recorded as
+			// failed and the pipeline demotes and re-plans it instead of
+			// crashing the compile. Its summary is never published, so its
+			// callers see the safe default linkage.
 			defer func() {
 				if r := recover(); r != nil {
 					pp.noteFailure(f, r)
@@ -231,85 +222,17 @@ func PlanModule(m *ir.Module, mode Mode) *ProgramPlan {
 		return fp
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	s := obs.Current()
-	if mode.Sequential || workers <= 1 {
-		sp := s.Span(obs.PhasePlan, "PlanModule (sequential)")
-		for _, f := range g.PostOrder {
-			if f.Extern {
-				continue
-			}
-			if fp := plan(f); fp != nil {
-				pp.Funcs[f] = fp
-			}
+	sp := obs.Current().Span(obs.PhasePlan, "PlanModule")
+	for _, f := range g.PostOrder {
+		if f.Extern {
+			continue
 		}
-		sp.End()
-		return pp
-	}
-
-	// Wavefront schedule: each level's functions have all their summary
-	// inputs published by earlier levels, so they plan concurrently; the
-	// level barrier orders publication against the next level's reads.
-	levels := g.Wavefronts()
-	if !mode.IPRA {
-		// Without summaries there are no cross-function inputs at all:
-		// every function is independent.
-		levels = [][]*ir.Func{g.PostOrder}
-	}
-	s.SetMax(obs.GPlanWorkers, int64(workers))
-	for li, level := range levels {
-		var sp obs.Span
-		if s != nil {
-			s.Add(obs.CPlanLevels, 1)
-			s.SetMax(obs.GMaxLevelWidth, int64(len(level)))
-			sp = s.Span(obs.PhasePlan, fmt.Sprintf("wavefront %d (%d funcs)", li, len(level)))
+		if fp := plan(f); fp != nil {
+			pp.Funcs[f] = fp
 		}
-		fps := make([]*FuncPlan, len(level))
-		runIndexed(len(level), workers, func(i int) {
-			if !level[i].Extern {
-				fps[i] = plan(level[i])
-			}
-		})
-		for i, f := range level {
-			if fps[i] != nil {
-				pp.Funcs[f] = fps[i]
-			}
-		}
-		sp.End()
 	}
+	sp.End()
 	return pp
-}
-
-// runIndexed executes fn(0..n-1) on up to `workers` goroutines, returning
-// when all calls complete. Work is handed out through an atomic counter so
-// uneven function sizes balance across workers.
-func runIndexed(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // planFunc computes the complete allocation decision for one function. It

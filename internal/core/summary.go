@@ -51,12 +51,12 @@ func (s *Summary) String() string {
 // specify usage information — all caller-saved registers are assumed used
 // and all callee-saved registers preserved).
 //
-// The oracle is the one cross-function channel of the wavefront-parallel
-// pipeline: each worker publishes its function's summary when planning
-// completes, and workers of later levels read it. Publication and lookup are
-// synchronized; the level barrier guarantees a closed callee's summary is
-// published before any of its callers is dispatched, so lookups are never
-// stale, only racy without the lock.
+// The oracle is the one cross-function channel of planning: PlanModule
+// publishes each function's summary as soon as the function is planned, and
+// the bottom-up walk guarantees a closed callee's summary is published
+// before any of its callers is planned, so lookups are never stale.
+// Publication and lookup are synchronized, so a plan's oracle is safe to
+// query from any goroutine.
 type ipraOracle struct {
 	cfg       *mach.Config
 	mu        sync.RWMutex

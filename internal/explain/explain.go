@@ -11,12 +11,12 @@
 // `if j := explain.Current(); j != nil { ... }` so the fmt work of building
 // a Decision is never done dark — held by TestExplainDisabledAllocFree).
 //
-// Determinism: decisions are bucketed per function, each function is
-// planned and emitted by exactly one worker, and the artifact serializes
-// buckets in module order — so parallel and sequential compiles produce
-// byte-identical journals. Nothing in a Decision depends on scheduling: no
-// timestamps, no worker IDs, and every set iterated while recording
-// (RegSet.ForEach, CallSites, plan site slices) has a fixed order.
+// Determinism: decisions are bucketed per function and the artifact
+// serializes buckets in module order, not in the bottom-up order planning
+// records them — so cold and cached compiles produce byte-identical
+// journals. Nothing in a Decision depends on timing: no timestamps, and
+// every set iterated while recording (RegSet.ForEach, CallSites, plan site
+// slices) has a fixed order.
 package explain
 
 import (

@@ -2,7 +2,7 @@
 // points inside the register-allocation and code-generation pipeline that
 // corrupt exactly the linkage artifacts the internal/check validator
 // guards — a summary register bit, a shrink-wrap save site, a published
-// parameter location — or panic inside one per-function pipeline worker.
+// parameter location — or panic while planning or emitting one function.
 //
 // The layer exists to prove the validator's coverage: the chaos
 // differential suite (make chaos) arms each point in turn and asserts the
@@ -41,11 +41,10 @@ const (
 	// procedure's published summary to a different register, so callers
 	// deliver the argument where the callee will never look.
 	PointFlipParamReg
-	// PointPanicPlan panics inside one per-function planning worker of the
-	// wavefront-parallel allocator.
+	// PointPanicPlan panics while the allocator plans one function.
 	PointPanicPlan
-	// PointPanicCodegen panics inside one per-function code-generation
-	// worker.
+	// PointPanicCodegen panics while the code generator emits one
+	// function.
 	PointPanicCodegen
 	// PointPanicDaemonWorker panics inside one chowd request worker, after
 	// admission but before any compilation work. The daemon's per-request
@@ -230,7 +229,7 @@ func FlipParamReg(fn string, genuine mach.Reg, allocatable mach.RegSet) (mach.Re
 	return wrong, true
 }
 
-// PanicPlan panics when the armed plan targets fn's planning worker.
+// PanicPlan panics when the armed plan targets the planning of fn.
 func PanicPlan(fn string) {
 	if armed.Load() == nil {
 		return
@@ -241,7 +240,7 @@ func PanicPlan(fn string) {
 	}
 }
 
-// PanicCodegen panics when the armed plan targets fn's codegen worker.
+// PanicCodegen panics when the armed plan targets the emission of fn.
 func PanicCodegen(fn string) {
 	if armed.Load() == nil {
 		return

@@ -174,8 +174,8 @@ func Load(path string) (*State, error) {
 }
 
 // ModeFingerprint flattens every output-relevant Mode field. Sequential is
-// deliberately excluded: the parallel and sequential pipelines are
-// byte-identical, so states transfer between them.
+// deliberately excluded: it only bypasses the front-end cache, and cold and
+// cached compiles are byte-identical, so states transfer between them.
 func ModeFingerprint(mode core.Mode) string {
 	cfg := mode.Config
 	fo := append([]string(nil), mode.ForceOpen...)

@@ -107,7 +107,7 @@ func TestModeFingerprint(t *testing.T) {
 	seq := c
 	seq.Sequential = !seq.Sequential
 	if ModeFingerprint(seq) != base {
-		t.Error("Sequential must not affect the fingerprint (pipelines are byte-identical)")
+		t.Error("Sequential must not affect the fingerprint (cold and cached compiles are byte-identical)")
 	}
 
 	fo := c

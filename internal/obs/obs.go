@@ -15,10 +15,10 @@
 //     pointer load plus a nil check. BenchmarkObsDisabled in this package
 //     holds that path to zero allocations.
 //   - Counters and gauges are fixed enums indexed into arrays of
-//     atomic.Int64, so concurrent pipeline stages (wavefront allocation,
-//     parallel codegen) record without locks. Dynamically-named ("labeled")
-//     counters exist for cold paths only (per-superinstruction hit counts,
-//     published once per run).
+//     atomic.Int64, so concurrent compiles and runs sharing one session
+//     (chowd's request workers) record without locks. Dynamically-named
+//     ("labeled") counters exist for cold paths only (per-superinstruction
+//     hit counts, published once per run).
 package obs
 
 import (
@@ -39,7 +39,6 @@ const (
 	CFrontCacheMiss
 	CFrontCacheEvict
 	// Register allocation (internal/core, internal/regalloc).
-	CPlanLevels
 	CPlanFuncs
 	CProcsClosed
 	CProcsOpen
@@ -107,7 +106,6 @@ var counterNames = [NumCounters]string{
 	CFrontCacheHit:     "front.cache_hits",
 	CFrontCacheMiss:    "front.cache_misses",
 	CFrontCacheEvict:   "front.cache_evictions",
-	CPlanLevels:        "plan.wavefront_levels",
 	CPlanFuncs:         "plan.funcs_planned",
 	CProcsClosed:       "plan.procs_closed",
 	CProcsOpen:         "plan.procs_open",
@@ -167,15 +165,13 @@ var counterNames = [NumCounters]string{
 func (c Counter) Name() string { return counterNames[c] }
 
 // Gauge identifies a high-water-mark value: SetMax keeps the maximum
-// observed, so reports show e.g. the widest wavefront level of a compile.
+// observed, so reports show e.g. the deepest admission queue of a daemon
+// session.
 type Gauge uint8
 
 // The registry's gauges.
 const (
-	GMaxLevelWidth Gauge = iota
-	GPlanWorkers
-	GCodegenWorkers
-	GFrontCacheEntries
+	GFrontCacheEntries Gauge = iota
 	GIncrFrontier
 	GDaemonQueueHigh
 	GDaemonBusyHigh
@@ -184,9 +180,6 @@ const (
 )
 
 var gaugeNames = [NumGauges]string{
-	GMaxLevelWidth:     "plan.max_level_width",
-	GPlanWorkers:       "plan.workers",
-	GCodegenWorkers:    "codegen.workers",
 	GFrontCacheEntries: "front.cache_entries",
 	GIncrFrontier:      "incr.frontier_size",
 	GDaemonQueueHigh:   "daemon.queue_high_water",
@@ -344,17 +337,14 @@ func (s *Session) AddLabeled(name string, n int64) {
 	s.labeled.Unlock()
 }
 
-// Span opens a span of the given phase on the main timeline (tid 0).
-func (s *Session) Span(p Phase, name string) Span { return s.SpanTID(p, name, 0) }
-
-// SpanTID opens a span on an explicit timeline; parallel pipeline stages
-// pass their worker index so Perfetto renders one lane per worker. The
-// zero Span (and any span from a nil session) is a no-op to End.
-func (s *Session) SpanTID(p Phase, name string, tid int) Span {
+// Span opens a span of the given phase. Every span lands on one timeline
+// (trace tid 0). The zero Span (and any span from a nil session) is a no-op
+// to End.
+func (s *Session) Span(p Phase, name string) Span {
 	if s == nil {
 		return Span{}
 	}
-	return Span{s: s, name: name, phase: p, tid: int32(tid), start: time.Now()}
+	return Span{s: s, name: name, phase: p, start: time.Now()}
 }
 
 // Span is an open interval on the trace timeline. It is a value type: the
@@ -363,7 +353,6 @@ type Span struct {
 	s     *Session
 	name  string
 	phase Phase
-	tid   int32
 	start time.Time
 }
 
@@ -384,7 +373,6 @@ func (sp Span) End() {
 			Ph:   "X",
 			TS:   float64(sp.start.Sub(s.start).Nanoseconds()) / 1e3,
 			Dur:  float64(d.Nanoseconds()) / 1e3,
-			TID:  int(sp.tid),
 		})
 	}
 }

@@ -35,12 +35,12 @@ func TestNamesComplete(t *testing.T) {
 func TestReportSince(t *testing.T) {
 	s := NewSession(Options{})
 	s.Add(CSimRunsFast, 3)
-	s.SetMax(GMaxLevelWidth, 5)
+	s.SetMax(GDaemonQueueHigh, 5)
 	snap := s.Snap()
 
 	s.Add(CSimRunsFast, 2)
 	s.Add(CFrontCacheHit, 1)
-	s.SetMax(GMaxLevelWidth, 4) // below the recorded max: no effect
+	s.SetMax(GDaemonQueueHigh, 4) // below the recorded max: no effect
 	s.AddLabeled(SuperHitPrefix+"LW", 10)
 	s.AddLabeled(SuperHitPrefix+"SW", 30)
 	s.AddLabeled("other.label", 7)
@@ -55,7 +55,7 @@ func TestReportSince(t *testing.T) {
 	if got := r.Counter("other.label"); got != 7 {
 		t.Errorf("labeled counter diff = %d, want 7", got)
 	}
-	if got := r.Gauge("plan.max_level_width"); got != 5 {
+	if got := r.Gauge("daemon.queue_high_water"); got != 5 {
 		t.Errorf("gauge = %d, want high-water 5", got)
 	}
 	for _, st := range r.Counters {
@@ -106,7 +106,7 @@ func TestSpanPhaseTimers(t *testing.T) {
 func TestTraceJSON(t *testing.T) {
 	s := NewSession(Options{Trace: true})
 	s.Span(PhaseCompile, "Compile test").End()
-	s.SpanTID(PhaseCodegen, "f", 2).End()
+	s.Span(PhaseCodegen, "f").End()
 
 	var buf bytes.Buffer
 	if err := s.WriteTrace(&buf); err != nil {
@@ -141,8 +141,11 @@ func TestTraceJSON(t *testing.T) {
 		if e.TS == nil || *e.TS < 0 || e.Dur == nil || *e.Dur < 0 {
 			t.Errorf("span %q has bad ts/dur: %+v", e.Name, e)
 		}
-		if e.Name == "f" && (e.TID != 2 || e.Cat != "codegen") {
-			t.Errorf("span f: tid=%d cat=%q, want tid=2 cat=codegen", e.TID, e.Cat)
+		if e.TID != 0 {
+			t.Errorf("span %q: tid=%d, want 0 (one timeline)", e.Name, e.TID)
+		}
+		if e.Name == "f" && e.Cat != "codegen" {
+			t.Errorf("span f: cat=%q, want codegen", e.Cat)
 		}
 	}
 	if spans != 2 {
@@ -155,10 +158,9 @@ func TestTraceJSON(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var s *Session
 	s.Add(CSimRunsFast, 1)
-	s.SetMax(GPlanWorkers, 4)
+	s.SetMax(GDaemonQueueHigh, 4)
 	s.AddLabeled("x", 1)
 	s.Span(PhaseRun, "r").End()
-	s.SpanTID(PhaseRun, "r", 3).End()
 	(Span{}).End()
 	snap := s.Snap()
 	if r := s.ReportSince(snap); r != nil {
@@ -190,7 +192,7 @@ func TestNilSafety(t *testing.T) {
 func disabledPath() {
 	s := Current()
 	s.Add(CSimBlockEntries, 1)
-	s.SetMax(GMaxLevelWidth, 9)
+	s.SetMax(GDaemonQueueHigh, 9)
 	sp := s.Span(PhaseRun, "run")
 	sp.End()
 }
@@ -228,10 +230,10 @@ func TestConcurrentRegistry(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				s.Add(CCodegenFuncs, 1)
-				s.SetMax(GCodegenWorkers, int64(w))
+				s.SetMax(GDaemonBusyHigh, int64(w))
 				s.AddLabeled("k", 1)
 			}
-			s.SpanTID(PhaseCodegen, "w", w).End()
+			s.Span(PhaseCodegen, "w").End()
 		}(w)
 	}
 	wg.Wait()
@@ -242,8 +244,8 @@ func TestConcurrentRegistry(t *testing.T) {
 	if got := r.Counter("k"); got != workers*each {
 		t.Errorf("labeled k = %d, want %d", got, workers*each)
 	}
-	if got := r.Gauge("codegen.workers"); got != workers-1 {
-		t.Errorf("workers gauge = %d, want %d", got, workers-1)
+	if got := r.Gauge("daemon.busy_workers_high_water"); got != workers-1 {
+		t.Errorf("busy-workers gauge = %d, want %d", got, workers-1)
 	}
 }
 

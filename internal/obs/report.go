@@ -45,7 +45,7 @@ type CompileReport struct {
 	Training *Report `json:",omitempty"`
 	// Demotions records every graceful-degradation intervention the
 	// pipeline took: procedures replanned or demoted to the open
-	// convention after a validation failure or a recovered worker panic.
+	// convention after a validation failure or a recovered panic.
 	// Empty for clean compiles.
 	Demotions []Demotion `json:",omitempty"`
 	// Explain carries the decision-provenance journal artifact

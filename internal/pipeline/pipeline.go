@@ -84,7 +84,7 @@ type offender struct {
 
 // Build plans, validates and generates code for mod. With mode.Validate
 // off it is exactly PlanModule + Generate. With it on, validation runs
-// after planning and after code generation, worker panics are contained,
+// after planning and after code generation, per-function panics are contained,
 // and offending procedures degrade per the ladder; every intervention is
 // returned as an obs.Demotion (and counted on the active obs session).
 //
@@ -345,7 +345,7 @@ func fullBuildIncremental(ctx context.Context, src string, mode core.Mode, reaso
 func findOffenders(pp *core.ProgramPlan, byName map[string]*ir.Func) ([]offender, *mcode.Program, error) {
 	s := obs.Current()
 
-	// Recovered planning-worker panics.
+	// Recovered planning panics.
 	if len(pp.Failed) > 0 {
 		var offs []offender
 		for _, f := range pp.Module.Funcs {
@@ -365,7 +365,7 @@ func findOffenders(pp *core.ProgramPlan, byName map[string]*ir.Func) ([]offender
 		return violationOffenders(pp, byName, "validate", viols)
 	}
 
-	// Code generation (worker panics surface as *codegen.FuncError).
+	// Code generation (recovered panics surface as *codegen.FuncError).
 	prog, err := codegen.Generate(pp)
 	if err != nil {
 		var fe *codegen.FuncError

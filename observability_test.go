@@ -17,7 +17,6 @@ import (
 // metrics on must not change a single byte of generated code or a single
 // trace statistic — observability observes, it never steers.
 func TestObsDifferential(t *testing.T) {
-	forceParallel(t)
 	src := benchprog.All()[0].Source
 
 	obs.End() // make sure the baseline really runs dark
