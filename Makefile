@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchjson ci fmt-check vet chaos incr sim inline chowd sweep mem fuzz trace clean
+.PHONY: all build test race bench benchjson ci fmt-check vet chaos incr sim inline chowd sweep mem opt fuzz trace clean
 
 all: build
 
@@ -113,6 +113,16 @@ mem:
 	GOOS=darwin $(GO) vet ./internal/sim
 	$(GO) test -race ./internal/sim ./internal/daemon
 
+# Optimizer gate: the opt unit tests (folding, CSE, the value-number key's
+# meaning, the round cap never binding over the corpus), the liveness unit
+# tests and the differential test holding the block-ID-indexed live sets
+# equal to a map-keyed fixpoint before and after opt, and the optimized-IR
+# goldens under testdata/opt (see DESIGN.md §16). Also exercised by plain
+# `make test`; this target runs the slice alone.
+opt:
+	$(GO) test ./internal/opt ./internal/liveness
+	$(GO) test -run 'TestOptIRGolden' -v ./
+
 # Longer fuzzing session for the front-end containment, differential
 # compile and daemon request-decoder targets. FUZZTIME can be raised for
 # overnight runs.
@@ -128,13 +138,14 @@ fuzz:
 # under the detector), the incremental differential suite, the fast-vs-reference
 # simulator gate, the chowd end-to-end gate, the convention-sweep gate,
 # the simulator-memory gate (windows and darwin cross-builds of the
-# mapping's build-tag split), a one-iteration smoke of the compile,
+# mapping's build-tag split), the optimizer gate (opt and liveness tests,
+# the liveness differential and the optimized-IR goldens), a one-iteration smoke of the compile,
 # incremental, simulator (fast and reference engines), inliner,
 # daemon-saturation and convention benchmarks (via benchjson, which also
 # refreshes the $(BENCH) trajectory snapshot), the obs- and explain-disabled
 # zero-allocation checks, and a short smoke of the fuzz targets (seed
 # corpus + a few seconds of mutation).
-ci: fmt-check vet build race incr sim inline chowd sweep mem benchjson
+ci: fmt-check vet build race incr sim inline chowd sweep mem opt benchjson
 	$(GO) test -run '^$$' -bench 'BenchmarkObsDisabled' -benchtime 1x ./internal/obs
 	$(GO) test -run '^$$' -bench 'BenchmarkExplainDisabled' -benchtime 1x ./internal/explain
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./

@@ -10,6 +10,7 @@ import (
 	"chow88/internal/experiments"
 	"chow88/internal/front"
 	"chow88/internal/ir"
+	"chow88/internal/opt"
 	"chow88/internal/pipeline"
 	"chow88/internal/sim"
 )
@@ -261,6 +262,26 @@ func BenchmarkCompileFrontend(b *testing.B) {
 				if _, err := front.Module(p.Source, true, true); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkCompileOpt isolates the -O2 optimizer (opt.Run). The optimizer
+// rewrites the IR in place, so each iteration optimizes a fresh clone of the
+// unoptimized module, cloned off the clock.
+func BenchmarkCompileOpt(b *testing.B) {
+	for _, p := range compileBenchPrograms() {
+		master, err := front.Build(p.Source, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(p.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				mod := ir.CloneModule(master)
+				b.StartTimer()
+				opt.Run(mod)
 			}
 		})
 	}

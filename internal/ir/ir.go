@@ -324,6 +324,11 @@ func (f *Func) TruncateTemps(n int) {
 // NumTemps returns the number of temps created so far.
 func (f *Func) NumTemps() int { return f.nextTemp }
 
+// NumBlockIDs returns one more than the largest block ID handed out so far,
+// the length of a slice indexed by b.ID. RemoveUnreachable renumbers blocks
+// densely and lowers it again.
+func (f *Func) NumBlockIDs() int { return f.nextBlock }
+
 // NewBlock appends a fresh empty block (no profile attached).
 func (f *Func) NewBlock() *Block {
 	b := &Block{ID: f.nextBlock, Name: fmt.Sprintf("b%d", f.nextBlock), ProfCount: -1}

@@ -52,7 +52,7 @@ func main() { print(f(1, 2)); }`, "f")
 	if a == nil || b == nil {
 		t.Fatal("params not found")
 	}
-	entryIn := res.LiveIn[f.Entry()]
+	entryIn := res.In(f.Entry())
 	if !entryIn.Get(a.ID) || !entryIn.Get(b.ID) {
 		t.Errorf("params must be live at entry: %s", entryIn)
 	}

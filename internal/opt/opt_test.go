@@ -1,10 +1,12 @@
 package opt
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"chow88/internal/benchprog"
 	"chow88/internal/interp"
 	"chow88/internal/ir"
 	"chow88/internal/lower"
@@ -13,7 +15,8 @@ import (
 	"chow88/internal/sema"
 )
 
-func optimized(t *testing.T, src string) *ir.Module {
+// lowered returns src's unoptimized IR.
+func lowered(t *testing.T, src string) *ir.Module {
 	t.Helper()
 	tree, err := parser.Parse(src)
 	if err != nil {
@@ -27,6 +30,12 @@ func optimized(t *testing.T, src string) *ir.Module {
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
+	return mod
+}
+
+func optimized(t *testing.T, src string) *ir.Module {
+	t.Helper()
+	mod := lowered(t, src)
 	Run(mod)
 	if err := ir.VerifyModule(mod); err != nil {
 		t.Fatalf("optimizer broke the IR: %v", err)
@@ -237,4 +246,175 @@ func TestOptimizerPreservesVerification(t *testing.T) {
 			t.Fatalf("seed %d: optimizer broke the IR: %v\n%s", seed, err, src)
 		}
 	}
+}
+
+// valueNumber runs one block's value numbering over instrs (a void return
+// is appended) and returns the rewritten block. The block has no uses after
+// it, so nothing else in the pipeline would keep the instructions apart.
+func valueNumber(f *ir.Func, instrs ...*ir.Instr) *ir.Block {
+	b := f.NewBlock()
+	b.Instrs = append(instrs, ir.NewRet(nil))
+	f.ComputeCFG()
+	newScratch(f.NumTemps()).localOptimize(b)
+	return b
+}
+
+// wantOps checks the opcode of each of the block's first len(want)
+// instructions.
+func wantOps(t *testing.T, f *ir.Func, b *ir.Block, want ...ir.Op) {
+	t.Helper()
+	for i, op := range want {
+		if got := b.Instrs[i].Op; got != op {
+			t.Errorf("instr %d is %s, want %s:\n%s", i, got, op, ir.FuncString(f))
+		}
+	}
+}
+
+// TestValueNumberConstDistinctFromTemp: a constant operand whose value
+// equals another operand's value number is a different value. Block-entry
+// values are numbered by temp ID and fresh values count up from the temp
+// count, so both kinds of number are checked.
+func TestValueNumberConstDistinctFromTemp(t *testing.T) {
+	f := ir.NewFunc("f")
+	y := f.NewTemp("y", true)
+	d1, d2, d3 := f.NewTemp("d1", false), f.NewTemp("d2", false), f.NewTemp("d3", false)
+	x := f.NewTemp("x", true) // entry value number == x.ID
+	m := f.NewTemp("m", false)
+	e1, e2 := f.NewTemp("e1", false), f.NewTemp("e2", false)
+	fresh := int64(f.NumTemps()) // m's value number: the first fresh one
+	add := func(dst *ir.Temp, a, b ir.Operand) *ir.Instr {
+		return &ir.Instr{Op: ir.OpAdd, Dst: dst, A: a, B: b}
+	}
+	b := valueNumber(f,
+		add(d1, ir.TempOp(y), ir.TempOp(x)),
+		add(d2, ir.TempOp(y), ir.ConstOp(int64(x.ID))),
+		add(d3, ir.TempOp(y), ir.TempOp(x)),
+		&ir.Instr{Op: ir.OpMul, Dst: m, A: ir.TempOp(y), B: ir.TempOp(y)},
+		add(e1, ir.TempOp(y), ir.TempOp(m)),
+		add(e2, ir.TempOp(y), ir.ConstOp(fresh)),
+	)
+	wantOps(t, f, b, ir.OpAdd, ir.OpAdd, ir.OpCopy, ir.OpMul, ir.OpAdd, ir.OpAdd)
+}
+
+// TestValueNumberLocalArrays: loads at the same index of two distinct
+// local arrays are different values; a repeated load of one array is not.
+func TestValueNumberLocalArrays(t *testing.T) {
+	f := ir.NewFunc("f")
+	p, q := &ir.LocalArray{Name: "p", Size: 4}, &ir.LocalArray{Name: "q", Size: 4}
+	f.LocalArrays = []*ir.LocalArray{p, q}
+	i := f.NewTemp("i", true)
+	d1, d2, d3 := f.NewTemp("d1", false), f.NewTemp("d2", false), f.NewTemp("d3", false)
+	load := func(dst *ir.Temp, arr *ir.LocalArray) *ir.Instr {
+		return &ir.Instr{Op: ir.OpLoadIdx, Dst: dst, Arr: ir.ArrayRef{Local: arr}, A: ir.TempOp(i)}
+	}
+	b := valueNumber(f, load(d1, p), load(d2, q), load(d3, p))
+	wantOps(t, f, b, ir.OpLoadIdx, ir.OpLoadIdx, ir.OpCopy)
+}
+
+// TestValueNumberFuncAddr: the addresses of two different callees are
+// different values.
+func TestValueNumberFuncAddr(t *testing.T) {
+	f := ir.NewFunc("f")
+	g, h := ir.NewFunc("g"), ir.NewFunc("h")
+	d1, d2, d3 := f.NewTemp("d1", false), f.NewTemp("d2", false), f.NewTemp("d3", false)
+	addr := func(dst *ir.Temp, callee *ir.Func) *ir.Instr {
+		return &ir.Instr{Op: ir.OpFuncAddr, Dst: dst, Callee: callee}
+	}
+	b := valueNumber(f, addr(d1, g), addr(d2, h), addr(d3, g))
+	wantOps(t, f, b, ir.OpFuncAddr, ir.OpFuncAddr, ir.OpCopy)
+}
+
+// TestValueNumberStoreGKillsOnlyThatGlobal: a store to one scalar global
+// invalidates loads of that global and no other available value.
+func TestValueNumberStoreGKillsOnlyThatGlobal(t *testing.T) {
+	f := ir.NewFunc("f")
+	g, h := &ir.Global{Name: "g", Size: 1}, &ir.Global{Name: "h", Size: 1}
+	arr := &ir.Global{Name: "arr", Size: 4, IsArray: true}
+	i := f.NewTemp("i", true)
+	g1, h1, a1 := f.NewTemp("g1", false), f.NewTemp("h1", false), f.NewTemp("a1", false)
+	g2, h2, a2 := f.NewTemp("g2", false), f.NewTemp("h2", false), f.NewTemp("a2", false)
+	loadG := func(dst *ir.Temp, gl *ir.Global) *ir.Instr {
+		return &ir.Instr{Op: ir.OpLoadG, Dst: dst, Global: gl}
+	}
+	loadIdx := func(dst *ir.Temp) *ir.Instr {
+		return &ir.Instr{Op: ir.OpLoadIdx, Dst: dst, Arr: ir.ArrayRef{Global: arr}, A: ir.TempOp(i)}
+	}
+	b := valueNumber(f,
+		loadG(g1, g), loadG(h1, h), loadIdx(a1),
+		&ir.Instr{Op: ir.OpStoreG, Global: g, A: ir.TempOp(i)},
+		loadG(g2, g), loadG(h2, h), loadIdx(a2),
+	)
+	wantOps(t, f, b, ir.OpLoadG, ir.OpLoadG, ir.OpLoadIdx, ir.OpStoreG, ir.OpLoadG, ir.OpCopy, ir.OpCopy)
+}
+
+// TestValueNumberCallAndStoreIdxKillIndexedLoads: a call and an indexed
+// store each invalidate every available indexed load; an indexed store
+// leaves scalar-global loads available.
+func TestValueNumberCallAndStoreIdxKillIndexedLoads(t *testing.T) {
+	for _, kill := range []string{"call", "storeidx"} {
+		t.Run(kill, func(t *testing.T) {
+			f := ir.NewFunc("f")
+			callee := ir.NewFunc("callee")
+			g := &ir.Global{Name: "g", Size: 1}
+			p := &ir.LocalArray{Name: "p", Size: 4}
+			q := &ir.LocalArray{Name: "q", Size: 4}
+			f.LocalArrays = []*ir.LocalArray{p, q}
+			i := f.NewTemp("i", true)
+			d1, g1, d2, g2 := f.NewTemp("d1", false), f.NewTemp("g1", false), f.NewTemp("d2", false), f.NewTemp("g2", false)
+			load := &ir.Instr{Op: ir.OpLoadIdx, Dst: d1, Arr: ir.ArrayRef{Local: p}, A: ir.TempOp(i)}
+			reload := &ir.Instr{Op: ir.OpLoadIdx, Dst: d2, Arr: ir.ArrayRef{Local: p}, A: ir.TempOp(i)}
+			killer := &ir.Instr{Op: ir.OpCall, Callee: callee}
+			wantG := ir.OpLoadG // a call may store to g
+			if kill == "storeidx" {
+				// A store to q, not p: indexed loads die conservatively.
+				killer = &ir.Instr{Op: ir.OpStoreIdx, Arr: ir.ArrayRef{Local: q}, A: ir.TempOp(i), B: ir.TempOp(i)}
+				wantG = ir.OpCopy
+			}
+			b := valueNumber(f,
+				load, &ir.Instr{Op: ir.OpLoadG, Dst: g1, Global: g},
+				killer,
+				reload, &ir.Instr{Op: ir.OpLoadG, Dst: g2, Global: g},
+			)
+			wantOps(t, f, b, ir.OpLoadIdx, ir.OpLoadG, killer.Op, ir.OpLoadIdx, wantG)
+		})
+	}
+}
+
+// TestRoundCapNeverBinds: RunFunc stops after maxRounds rounds, but no
+// function of the suite, Large or the progen corpus needs that many, so
+// the cap never shapes the output.
+func TestRoundCapNeverBinds(t *testing.T) {
+	srcs := map[string]string{}
+	for _, p := range append(benchprog.All(), benchprog.Large()) {
+		srcs[p.Name] = p.Source
+	}
+	seeds := 400
+	if testing.Short() {
+		seeds = 50
+	}
+	for seed := 0; seed < seeds; seed++ {
+		srcs[fmt.Sprintf("progen%d", seed)] = progen.Generate(int64(seed), progen.DefaultConfig())
+	}
+	deepest := 0
+	for name, src := range srcs {
+		mod := lowered(t, src)
+		for _, f := range mod.Funcs {
+			if f.Extern {
+				continue
+			}
+			s := newScratch(f.NumTemps())
+			rounds := 1 // the last round is the one that changes nothing
+			for round(f, s) {
+				rounds++
+				if rounds > 4*maxRounds {
+					t.Fatalf("%s: %s does not reach a fixpoint", name, f.Name)
+				}
+			}
+			if rounds > maxRounds {
+				t.Errorf("%s: %s needs %d rounds, over the cap of %d", name, f.Name, rounds, maxRounds)
+			}
+			deepest = max(deepest, rounds)
+		}
+	}
+	t.Logf("deepest function needs %d of %d rounds", deepest, maxRounds)
 }

@@ -92,7 +92,7 @@ func SplitSpilled(f *ir.Func, res *Result, allocatable int) int {
 			}
 			// Store the outgoing value if the block redefines it and the
 			// original range is live out.
-			if defs && live.LiveOut[b].Get(c.temp.ID) {
+			if defs && live.Out(b).Get(c.temp.ID) {
 				st := &ir.Instr{Op: ir.OpStoreIdx, Arr: ref, A: ir.ConstOp(0), B: ir.TempOp(piece)}
 				n := len(b.Instrs)
 				if t := b.Terminator(); t != nil {
