@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchjson ci fmt-check vet chaos incr sim inline chowd sweep mem opt fuzz trace clean
+.PHONY: all build test race bench benchjson ci fmt-check vet chaos incr sim inline chowd sweep mem opt plan fuzz trace clean
 
 all: build
 
@@ -123,6 +123,18 @@ opt:
 	$(GO) test ./internal/opt ./internal/liveness
 	$(GO) test -run 'TestOptIRGolden' -v ./
 
+# Planner gate: the dataflow, liveness, regalloc, core and check unit
+# tests, the differential test holding the block-ID-indexed Dominators and
+# Loops equal to map-keyed copies before and after opt, the test holding the
+# allocator's per-range call-cost vectors bit-identical to the per-register
+# cost walk (with at most one oracle query per range and spanned call), and
+# a one-iteration smoke of the planner benchmark (see DESIGN.md §17). Also
+# exercised by plain `make test`; this target runs the slice alone.
+plan:
+	$(GO) test ./internal/dataflow ./internal/liveness ./internal/regalloc ./internal/core ./internal/check
+	$(GO) test -run 'TestDominatorsLoopsMatchMapVersions|TestLoopsTwoBackEdgesAroundInnerLoop|TestCallCostsMatchPerRegisterWalk' -v ./internal/dataflow ./internal/regalloc
+	$(GO) test -run '^$$' -bench 'BenchmarkCompilePlan' -benchtime 1x ./
+
 # Longer fuzzing session for the front-end containment, differential
 # compile and daemon request-decoder targets. FUZZTIME can be raised for
 # overnight runs.
@@ -139,13 +151,16 @@ fuzz:
 # simulator gate, the chowd end-to-end gate, the convention-sweep gate,
 # the simulator-memory gate (windows and darwin cross-builds of the
 # mapping's build-tag split), the optimizer gate (opt and liveness tests,
-# the liveness differential and the optimized-IR goldens), a one-iteration smoke of the compile,
+# the liveness differential and the optimized-IR goldens), the planner gate
+# (dataflow, liveness, regalloc, core and check tests, the dominator/loop
+# differential, the call-cost equivalence test and a planner benchmark
+# smoke), a one-iteration smoke of the compile,
 # incremental, simulator (fast and reference engines), inliner,
 # daemon-saturation and convention benchmarks (via benchjson, which also
 # refreshes the $(BENCH) trajectory snapshot), the obs- and explain-disabled
 # zero-allocation checks, and a short smoke of the fuzz targets (seed
 # corpus + a few seconds of mutation).
-ci: fmt-check vet build race incr sim inline chowd sweep mem opt benchjson
+ci: fmt-check vet build race incr sim inline chowd sweep mem opt plan benchjson
 	$(GO) test -run '^$$' -bench 'BenchmarkObsDisabled' -benchtime 1x ./internal/obs
 	$(GO) test -run '^$$' -bench 'BenchmarkExplainDisabled' -benchtime 1x ./internal/explain
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./

@@ -313,16 +313,19 @@ func (c *checker) checkSavePlan(f *ir.Func, fp *core.FuncPlan, ranges []*livenes
 		return
 	}
 
-	saveAt := make(map[*ir.Block]mach.RegSet)
-	restoreAt := make(map[*ir.Block]mach.RegSet)
+	// Every per-block set is indexed by block ID.
+	ids := f.NumBlockIDs()
+	sets := make([]mach.RegSet, 4*ids)
+	saveAt, restoreAt := sets[:ids:ids], sets[ids:2*ids:2*ids]
+	active, in := sets[2*ids:3*ids:3*ids], sets[3*ids:]
 	for r, blks := range fp.Plan.SaveAt {
 		for _, b := range blks {
-			saveAt[b] = saveAt[b].Add(r)
+			saveAt[b.ID] = saveAt[b.ID].Add(r)
 		}
 	}
 	for r, blks := range fp.Plan.RestoreAt {
 		for _, b := range blks {
-			restoreAt[b] = restoreAt[b].Add(r)
+			restoreAt[b.ID] = restoreAt[b.ID].Add(r)
 		}
 	}
 
@@ -330,7 +333,6 @@ func (c *checker) checkSavePlan(f *ir.Func, fp *core.FuncPlan, ranges []*livenes
 	// of every temp assigned to it, blocks whose calls may destroy it, and
 	// blocks that marshal an outgoing argument into it — the same activity
 	// notion the shrink-wrapper's APP attribute encodes (§5), re-derived.
-	active := make(map[*ir.Block]mach.RegSet, len(f.Blocks))
 	for id, rng := range ranges {
 		if id >= len(fp.Alloc.Locs) {
 			continue
@@ -339,8 +341,8 @@ func (c *checker) checkSavePlan(f *ir.Func, fp *core.FuncPlan, ranges []*livenes
 		if l.Kind != regalloc.LocReg || !managed.Has(l.Reg) {
 			continue
 		}
-		for b := range rng.Blocks {
-			active[b] = active[b].Add(l.Reg)
+		for _, b := range rng.Blocks {
+			active[b.ID] = active[b.ID].Add(l.Reg)
 		}
 	}
 	for _, cs := range f.CallSites() {
@@ -350,47 +352,43 @@ func (c *checker) checkSavePlan(f *ir.Func, fp *core.FuncPlan, ranges []*livenes
 				s = s.Add(al.Reg)
 			}
 		}
-		if !s.Empty() {
-			active[cs.Block] = active[cs.Block].Union(s)
-		}
+		active[cs.Block.ID] = active[cs.Block.ID].Union(s)
 	}
 
 	// Forward walk: the saved set at each block entry. The first reaching
 	// state wins; any disagreeing join is itself a violation (mixed
 	// saved/unsaved paths are exactly what range extension exists to
 	// prevent, Fig. 2).
-	in := make(map[*ir.Block]mach.RegSet, len(f.Blocks))
-	seen := make(map[*ir.Block]bool, len(f.Blocks))
+	seen := make([]bool, ids)
 	entry := f.Entry()
-	in[entry] = 0
-	seen[entry] = true
+	seen[entry.ID] = true
 	work := []*ir.Block{entry}
 	for len(work) > 0 {
 		b := work[len(work)-1]
 		work = work[:len(work)-1]
-		state := in[b]
-		if double := state & saveAt[b]; !double.Empty() {
+		state := in[b.ID]
+		if double := state & saveAt[b.ID]; !double.Empty() {
 			c.report(f.Name, RuleSaveBalance, "block %s saves %s again without an intervening restore", b.Name, double)
 		}
-		state = state.Union(saveAt[b])
-		if uncovered := active[b].Minus(state); !uncovered.Empty() {
+		state = state.Union(saveAt[b.ID])
+		if uncovered := active[b.ID].Minus(state); !uncovered.Empty() {
 			c.report(f.Name, RuleSaveCoverage, "%s active in block %s outside its save region", uncovered, b.Name)
 		}
-		if unsaved := restoreAt[b].Minus(state); !unsaved.Empty() {
+		if unsaved := restoreAt[b.ID].Minus(state); !unsaved.Empty() {
 			c.report(f.Name, RuleSaveBalance, "block %s restores %s, which no path saved", b.Name, unsaved)
 		}
-		state = state.Minus(restoreAt[b])
+		state = state.Minus(restoreAt[b.ID])
 		if t := b.Terminator(); t != nil && t.Op == ir.OpRet && !state.Empty() {
 			c.report(f.Name, RuleSaveBalance, "%s still saved at the exit of block %s", state, b.Name)
 		}
 		for _, s := range b.Succs {
-			if !seen[s] {
-				seen[s] = true
-				in[s] = state
+			if !seen[s.ID] {
+				seen[s.ID] = true
+				in[s.ID] = state
 				work = append(work, s)
-			} else if in[s] != state {
+			} else if in[s.ID] != state {
 				c.report(f.Name, RuleSaveBalance,
-					"block %s entered saved=%s on one path and saved=%s on another", s.Name, in[s], state)
+					"block %s entered saved=%s on one path and saved=%s on another", s.Name, in[s.ID], state)
 			}
 		}
 	}

@@ -11,7 +11,6 @@ package codegen
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"chow88/internal/core"
@@ -67,14 +66,15 @@ func EmitFunc(pp *core.ProgramPlan, fp *core.FuncPlan) (*FuncCode, error) {
 func (g *fngen) funcCode() (*FuncCode, error) {
 	fc := &FuncCode{Code: g.code, FrameSize: g.frameSize}
 	for _, fx := range g.fixes {
-		start, ok := g.blockStart[fx.blk]
-		if !ok {
+		id := fx.blk.ID
+		if id >= len(g.blockStart) || g.blockStart[id] < 0 {
 			return nil, fmt.Errorf("codegen: unresolved block %s", fx.blk.Name)
 		}
-		fc.Code[fx.at].Target = start
+		fc.Code[fx.at].Target = g.blockStart[id]
 	}
-	for _, blk := range g.f.Blocks {
-		fc.Blocks = append(fc.Blocks, mcode.BlockSpan{BlockID: blk.ID, Start: g.blockStart[blk]})
+	fc.Blocks = make([]mcode.BlockSpan, len(g.f.Blocks))
+	for i, blk := range g.f.Blocks {
+		fc.Blocks[i] = mcode.BlockSpan{BlockID: blk.ID, Start: g.blockStart[blk.ID]}
 	}
 	return fc, nil
 }
@@ -239,8 +239,10 @@ type fngen struct {
 	f   *ir.Func
 	cfg *mach.Config
 
-	code       []mcode.Instr
-	blockStart map[*ir.Block]int
+	code []mcode.Instr
+	// blockStart is each block's start offset by block ID, -1 for an ID
+	// not (yet) emitted.
+	blockStart []int
 	fixes      []fixup
 
 	frameSize int
@@ -271,12 +273,19 @@ type fngen struct {
 	// liveAcross maps each call instruction to the registers holding values
 	// that must survive it.
 	liveAcross map[*ir.Instr]mach.RegSet
-	// savesByBlock / restoresByBlock invert the shrink-wrap plan.
-	savesByBlock    map[*ir.Block][]mach.Reg
-	restoresByBlock map[*ir.Block][]mach.Reg
+	// savesByBlock / restoresByBlock invert the shrink-wrap plan, by block
+	// ID; ForEach emits each block's registers in ascending order.
+	savesByBlock    []mach.RegSet
+	restoresByBlock []mach.RegSet
 }
 
 func newFngen(pp *core.ProgramPlan, fp *core.FuncPlan) *fngen {
+	ids := fp.F.NumBlockIDs()
+	blockStart := make([]int, ids)
+	for i := range blockStart {
+		blockStart[i] = -1
+	}
+	byBlock := make([]mach.RegSet, 2*ids)
 	return &fngen{
 		pp:  pp,
 		fp:  fp,
@@ -284,15 +293,15 @@ func newFngen(pp *core.ProgramPlan, fp *core.FuncPlan) *fngen {
 		cfg: pp.Mode.Config,
 		exp: explain.Current(),
 
-		blockStart:      map[*ir.Block]int{},
+		blockStart:      blockStart,
 		arrOffset:       map[*ir.LocalArray]int{},
 		tempHome:        map[int]int{},
 		saveSlot:        map[mach.Reg]int{},
 		callSlot:        map[mach.Reg]int{},
 		paramIndex:      map[int]int{},
 		liveAcross:      map[*ir.Instr]mach.RegSet{},
-		savesByBlock:    map[*ir.Block][]mach.Reg{},
-		restoresByBlock: map[*ir.Block][]mach.Reg{},
+		savesByBlock:    byBlock[:ids:ids],
+		restoresByBlock: byBlock[ids:],
 	}
 }
 
@@ -321,16 +330,13 @@ func (g *fngen) run() error {
 	g.layout()
 	g.prologue()
 	for bi, b := range g.f.Blocks {
-		g.blockStart[b] = len(g.code)
+		g.blockStart[b.ID] = len(g.code)
 		if b == g.f.Entry() {
 			// Entry-block saves and parameter moves were emitted by the
 			// prologue, which is part of this block's code span.
-			g.blockStart[b] = 0
-		}
-		for _, r := range g.savesByBlock[b] {
-			if b != g.f.Entry() {
-				g.emitSave(b, r)
-			}
+			g.blockStart[b.ID] = 0
+		} else {
+			g.savesByBlock[b.ID].ForEach(func(r mach.Reg) { g.emitSave(b, r) })
 		}
 		var next *ir.Block
 		if bi+1 < len(g.f.Blocks) {
@@ -415,20 +421,15 @@ func (g *fngen) layout() {
 	for _, id := range stackParams {
 		g.tempHome[id] = g.frameSize + g.paramIndex[id]
 	}
-	// Invert the save plan for per-block emission, deterministic order.
+	// Invert the save plan for per-block emission.
 	for r, blks := range g.fp.Plan.SaveAt {
 		for _, b := range blks {
-			g.savesByBlock[b] = append(g.savesByBlock[b], r)
+			g.savesByBlock[b.ID] = g.savesByBlock[b.ID].Add(r)
 		}
 	}
 	for r, blks := range g.fp.Plan.RestoreAt {
 		for _, b := range blks {
-			g.restoresByBlock[b] = append(g.restoresByBlock[b], r)
-		}
-	}
-	for _, m := range []map[*ir.Block][]mach.Reg{g.savesByBlock, g.restoresByBlock} {
-		for _, regs := range m {
-			sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })
+			g.restoresByBlock[b.ID] = g.restoresByBlock[b.ID].Add(r)
 		}
 	}
 }
@@ -497,9 +498,7 @@ func (g *fngen) prologue() {
 			})
 		}
 	}
-	for _, r := range g.savesByBlock[g.f.Entry()] {
-		g.emitSave(g.f.Entry(), r)
-	}
+	g.savesByBlock[g.f.Entry().ID].ForEach(func(r mach.Reg) { g.emitSave(g.f.Entry(), r) })
 	g.paramMoves()
 }
 
@@ -755,20 +754,12 @@ func (g *fngen) instr(b *ir.Block, in *ir.Instr, isTerm bool, next *ir.Block) er
 // it is first copied to $at; the (possibly relocated) condition register is
 // returned.
 func (g *fngen) emitBlockRestores(b *ir.Block, cond mach.Reg) mach.Reg {
-	regs := g.restoresByBlock[b]
-	if len(regs) == 0 {
-		return cond
+	regs := g.restoresByBlock[b.ID]
+	if regs.Has(cond) {
+		g.emit(mcode.Instr{Op: mcode.MOVE, Rd: mach.AT, Rs: cond})
+		cond = mach.AT
 	}
-	for _, r := range regs {
-		if r == cond {
-			g.emit(mcode.Instr{Op: mcode.MOVE, Rd: mach.AT, Rs: cond})
-			cond = mach.AT
-			break
-		}
-	}
-	for _, r := range regs {
-		g.emitRestore(b, r)
-	}
+	regs.ForEach(func(r mach.Reg) { g.emitRestore(b, r) })
 	return cond
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"chow88/internal/callgraph"
 	"chow88/internal/explain"
@@ -145,18 +144,14 @@ type ProgramPlan struct {
 	// before planning; nil otherwise. Attached here so the drivers see the
 	// decisions without a second return path through Build.
 	Inline *obs.InlineReport
-
-	failedMu sync.Mutex
 }
 
 // noteFailure records a recovered planning panic for f.
 func (pp *ProgramPlan) noteFailure(f *ir.Func, cause any) {
-	pp.failedMu.Lock()
 	if pp.Failed == nil {
 		pp.Failed = map[*ir.Func]string{}
 	}
 	pp.Failed[f] = fmt.Sprint(cause)
-	pp.failedMu.Unlock()
 	obs.Current().Add(obs.CCheckPanics, 1)
 }
 
@@ -237,9 +232,9 @@ func PlanModule(m *ir.Module, mode Mode) *ProgramPlan {
 
 // planFunc computes the complete allocation decision for one function. It
 // mutates only f (live-range splitting rewrites) and consults other
-// functions exclusively through the oracle, which is what makes concurrent
-// planning of independent functions sound — and, given identical oracle
-// answers, deterministic.
+// functions exclusively through the oracle, which belongs to the one
+// planning walk that calls it; given identical oracle answers the decision
+// is deterministic.
 func planFunc(f *ir.Func, g *callgraph.Graph, mode Mode, oracle regalloc.Oracle) *FuncPlan {
 	faultinject.PanicPlan(f.Name)
 	cfg := mode.Config

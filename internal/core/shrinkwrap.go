@@ -99,16 +99,17 @@ func EntryExitPlan(f *ir.Func, regs mach.RegSet) *SavePlan {
 // inside a region where the register still carries a live value), in blocks
 // whose calls may destroy it according to the callee's summary (the parent
 // answers for its children's unsaved callee-saved usage, §3), and in blocks
-// where an outgoing argument is marshalled into it.
-func regAPP(f *ir.Func, alloc *regalloc.Result, oracle regalloc.Oracle, managed mach.RegSet) map[*ir.Block]mach.RegSet {
-	app := make(map[*ir.Block]mach.RegSet, len(f.Blocks))
+// where an outgoing argument is marshalled into it. The result is indexed
+// by block ID.
+func regAPP(f *ir.Func, alloc *regalloc.Result, oracle regalloc.Oracle, managed mach.RegSet) []mach.RegSet {
+	app := make([]mach.RegSet, f.NumBlockIDs())
 	for _, rng := range alloc.Ranges {
 		l := alloc.Locs[rng.Temp.ID]
 		if l.Kind != regalloc.LocReg || !managed.Has(l.Reg) {
 			continue
 		}
-		for b := range rng.Blocks {
-			app[b] = app[b].Add(l.Reg)
+		for _, b := range rng.Blocks {
+			app[b.ID] = app[b.ID].Add(l.Reg)
 		}
 	}
 	for _, cs := range f.CallSites() {
@@ -118,14 +119,7 @@ func regAPP(f *ir.Func, alloc *regalloc.Result, oracle regalloc.Oracle, managed 
 				s = s.Add(al.Reg)
 			}
 		}
-		if s != 0 {
-			app[cs.Block] = app[cs.Block].Union(s)
-		}
-	}
-	for _, b := range f.Blocks {
-		if _, ok := app[b]; !ok {
-			app[b] = 0
-		}
+		app[cs.Block.ID] = app[cs.Block.ID].Union(s)
 	}
 	return app
 }
@@ -135,7 +129,9 @@ func regAPP(f *ir.Func, alloc *regalloc.Result, oracle regalloc.Oracle, managed 
 // with the paper's two refinements: usage-range extension to keep insertion
 // points correct without creating new CFG nodes (Fig. 2), and whole-loop
 // APP propagation so a wrapped region never sits strictly inside a loop.
-func ShrinkWrap(f *ir.Func, app map[*ir.Block]mach.RegSet, managed mach.RegSet) *SavePlan {
+// app is the APP attribute indexed by block ID (regAPP's result); the
+// extensions are made in it in place.
+func ShrinkWrap(f *ir.Func, app []mach.RegSet, managed mach.RegSet) *SavePlan {
 	plan := NewSavePlan()
 	if managed.Empty() {
 		return plan
@@ -145,22 +141,13 @@ func ShrinkWrap(f *ir.Func, app map[*ir.Block]mach.RegSet, managed mach.RegSet) 
 
 	// The flow sets are dense over block IDs: one flat slice per equation
 	// family instead of a hash lookup in every fixpoint step.
-	maxID := 0
-	for _, b := range f.Blocks {
-		if b.ID > maxID {
-			maxID = b.ID
-		}
-	}
-	sets := make([]mach.RegSet, 5*(maxID+1))
-	antIn := sets[0*(maxID+1) : 1*(maxID+1)]
-	antOut := sets[1*(maxID+1) : 2*(maxID+1)]
-	avIn := sets[2*(maxID+1) : 3*(maxID+1)]
-	avOut := sets[3*(maxID+1) : 4*(maxID+1)]
-	appv := sets[4*(maxID+1) : 5*(maxID+1)]
-	for b, s := range app {
-		appv[b.ID] = s
-	}
-	isExit := make([]bool, maxID+1)
+	ids := f.NumBlockIDs()
+	sets := make([]mach.RegSet, 4*ids)
+	antIn := sets[0*ids : 1*ids]
+	antOut := sets[1*ids : 2*ids]
+	avIn := sets[2*ids : 3*ids]
+	avOut := sets[3*ids : 4*ids]
+	isExit := make([]bool, ids)
 	for _, b := range blocks {
 		if t := b.Terminator(); t != nil && t.Op == ir.OpRet {
 			isExit[b.ID] = true
@@ -174,12 +161,12 @@ func ShrinkWrap(f *ir.Func, app map[*ir.Block]mach.RegSet, managed mach.RegSet) 
 		changed := false
 		for _, l := range loops {
 			var union mach.RegSet
-			for b := range l.Blocks {
-				union = union.Union(appv[b.ID])
+			for _, b := range l.Blocks {
+				union = union.Union(app[b.ID])
 			}
-			for b := range l.Blocks {
-				if appv[b.ID] != appv[b.ID].Union(union) {
-					appv[b.ID] = appv[b.ID].Union(union)
+			for _, b := range l.Blocks {
+				if app[b.ID] != app[b.ID].Union(union) {
+					app[b.ID] = app[b.ID].Union(union)
 					changed = true
 				}
 			}
@@ -198,7 +185,7 @@ func ShrinkWrap(f *ir.Func, app map[*ir.Block]mach.RegSet, managed mach.RegSet) 
 			} else {
 				antOut[b.ID] = managed
 			}
-			antIn[b.ID] = appv[b.ID].Union(antOut[b.ID])
+			antIn[b.ID] = app[b.ID].Union(antOut[b.ID])
 		}
 		for changed := true; changed; {
 			changed = false
@@ -214,7 +201,7 @@ func ShrinkWrap(f *ir.Func, app map[*ir.Block]mach.RegSet, managed mach.RegSet) 
 						changed = true
 					}
 				}
-				in := appv[b.ID].Union(antOut[b.ID])
+				in := app[b.ID].Union(antOut[b.ID])
 				if in != antIn[b.ID] {
 					antIn[b.ID] = in
 					changed = true
@@ -228,7 +215,7 @@ func ShrinkWrap(f *ir.Func, app map[*ir.Block]mach.RegSet, managed mach.RegSet) 
 			} else {
 				avIn[b.ID] = managed
 			}
-			avOut[b.ID] = appv[b.ID].Union(avIn[b.ID])
+			avOut[b.ID] = app[b.ID].Union(avIn[b.ID])
 		}
 		for changed := true; changed; {
 			changed = false
@@ -243,7 +230,7 @@ func ShrinkWrap(f *ir.Func, app map[*ir.Block]mach.RegSet, managed mach.RegSet) 
 						changed = true
 					}
 				}
-				out := appv[b.ID].Union(avIn[b.ID])
+				out := app[b.ID].Union(avIn[b.ID])
 				if out != avOut[b.ID] {
 					avOut[b.ID] = out
 					changed = true
@@ -276,7 +263,7 @@ func ShrinkWrap(f *ir.Func, app map[*ir.Block]mach.RegSet, managed mach.RegSet) 
 					for _, p := range b.Preds {
 						add := ext &^ (antIn[p.ID].Union(avOut[p.ID]))
 						if add != 0 {
-							appv[p.ID] = appv[p.ID].Union(add)
+							app[p.ID] = app[p.ID].Union(add)
 							changed = true
 						}
 					}
@@ -296,7 +283,7 @@ func ShrinkWrap(f *ir.Func, app map[*ir.Block]mach.RegSet, managed mach.RegSet) 
 					for _, s := range b.Succs {
 						add := ext &^ (avOut[s.ID].Union(antIn[s.ID]))
 						if add != 0 {
-							appv[s.ID] = appv[s.ID].Union(add)
+							app[s.ID] = app[s.ID].Union(add)
 							changed = true
 						}
 					}
@@ -328,7 +315,7 @@ func ShrinkWrap(f *ir.Func, app map[*ir.Block]mach.RegSet, managed mach.RegSet) 
 			plan.SaveAt[r] = append(plan.SaveAt[r], b)
 			if explainOn {
 				why := "eq 3.5: anticipated here, not available, no covered predecessor"
-				if !appv[b.ID].Has(r) {
+				if !app[b.ID].Has(r) {
 					why += " (hoisted by range extension)"
 				}
 				plan.saveWhy = noteWhy(plan.saveWhy, r, b, why)
@@ -344,7 +331,7 @@ func ShrinkWrap(f *ir.Func, app map[*ir.Block]mach.RegSet, managed mach.RegSet) 
 			plan.RestoreAt[r] = append(plan.RestoreAt[r], b)
 			if explainOn {
 				why := "eq 3.6: available at exit, no longer anticipated, no covered successor"
-				if !appv[b.ID].Has(r) {
+				if !app[b.ID].Has(r) {
 					why += " (sunk by range extension)"
 				}
 				plan.restoreWhy = noteWhy(plan.restoreWhy, r, b, why)

@@ -39,7 +39,7 @@ func moduleFor(t *testing.T, src string) *ir.Module {
 //     active (APP), and never saved twice without an intervening restore;
 //   - a restore only happens after a save;
 //   - at every exit, the register has been restored iff it was saved.
-func checkPlan(t *testing.T, f *ir.Func, plan *SavePlan, app map[*ir.Block]mach.RegSet, managed mach.RegSet) {
+func checkPlan(t *testing.T, f *ir.Func, plan *SavePlan, app []mach.RegSet, managed mach.RegSet) {
 	t.Helper()
 	saveAt := map[*ir.Block]mach.RegSet{}
 	restoreAt := map[*ir.Block]mach.RegSet{}
@@ -73,7 +73,7 @@ func checkPlan(t *testing.T, f *ir.Func, plan *SavePlan, app map[*ir.Block]mach.
 				}
 				saved = true
 			}
-			if app[b].Has(r) && !saved {
+			if app[b.ID].Has(r) && !saved {
 				t.Errorf("%s: %s active in %s without a save on some path", f.Name, r, b.Name)
 				return
 			}

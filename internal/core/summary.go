@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"chow88/internal/ir"
 	"chow88/internal/mach"
@@ -54,12 +53,11 @@ func (s *Summary) String() string {
 // The oracle is the one cross-function channel of planning: PlanModule
 // publishes each function's summary as soon as the function is planned, and
 // the bottom-up walk guarantees a closed callee's summary is published
-// before any of its callers is planned, so lookups are never stale.
-// Publication and lookup are synchronized, so a plan's oracle is safe to
-// query from any goroutine.
+// before any of its callers is planned, so lookups are never stale. The
+// oracle belongs to one planning walk, which runs on one goroutine; it is
+// not synchronized, and concurrent compiles each build their own plan.
 type ipraOracle struct {
 	cfg       *mach.Config
-	mu        sync.RWMutex
 	summaries map[*ir.Func]*Summary
 }
 
@@ -71,18 +69,14 @@ func newIPRAOracle(cfg *mach.Config) *ipraOracle {
 
 // publish records a closed procedure's summary for its callers.
 func (o *ipraOracle) publish(f *ir.Func, s *Summary) {
-	o.mu.Lock()
 	o.summaries[f] = s
-	o.mu.Unlock()
 }
 
 // unpublish withdraws f's summary (graceful degradation: f is about to be
 // demoted or replanned, and callers must fall back to the default linkage
 // until a fresh summary is published).
 func (o *ipraOracle) unpublish(f *ir.Func) {
-	o.mu.Lock()
 	delete(o.summaries, f)
-	o.mu.Unlock()
 }
 
 // summary returns the published summary of a direct call's callee, or nil.
@@ -90,10 +84,7 @@ func (o *ipraOracle) summary(call *ir.Instr) *Summary {
 	if call.Op != ir.OpCall {
 		return nil
 	}
-	o.mu.RLock()
-	s := o.summaries[call.Callee]
-	o.mu.RUnlock()
-	return s
+	return o.summaries[call.Callee]
 }
 
 func (o *ipraOracle) defaultClobber() mach.RegSet {

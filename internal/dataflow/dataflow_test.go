@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -135,11 +136,11 @@ func TestDominatorsDiamond(t *testing.T) {
 	f := diamond()
 	idom := Dominators(f)
 	entry, a, b, join := f.Blocks[0], f.Blocks[1], f.Blocks[2], f.Blocks[3]
-	if idom[a] != entry || idom[b] != entry {
+	if idom[a.ID] != entry || idom[b.ID] != entry {
 		t.Errorf("idom(a/b) wrong")
 	}
-	if idom[join] != entry {
-		t.Errorf("idom(join) = %v, want entry", idom[join])
+	if idom[join.ID] != entry {
+		t.Errorf("idom(join) = %v, want entry", idom[join.ID])
 	}
 	if !Dominates(idom, entry, join) || Dominates(idom, a, join) {
 		t.Errorf("dominates relation wrong")
@@ -175,7 +176,7 @@ func TestLoops(t *testing.T) {
 	if l.Header != f.Blocks[1] {
 		t.Errorf("header = %v", l.Header)
 	}
-	if !l.Blocks[f.Blocks[2]] || l.Blocks[f.Blocks[3]] {
+	if !slices.Contains(l.Blocks, f.Blocks[2]) || slices.Contains(l.Blocks, f.Blocks[3]) {
 		t.Errorf("membership wrong: %v", l.Blocks)
 	}
 	if f.Blocks[1].LoopDepth != 1 || f.Blocks[2].LoopDepth != 1 {
@@ -212,5 +213,64 @@ func TestNestedLoopDepth(t *testing.T) {
 	}
 	if b2.Freq() <= h1.Freq() {
 		t.Errorf("freq should grow with depth")
+	}
+}
+
+// TestLoopsTwoBackEdgesAroundInnerLoop: the outer header h has two back
+// edges (l1 -> h, l2 -> h) whose walks the reverse postorder separates by
+// the inner loop's walk (b -> h2). Both outer walks reach the inner blocks,
+// so a membership stamp shared across headers would list h2 and b twice in
+// the outer loop and raise their depth (and Freq) to 3.
+func TestLoopsTwoBackEdgesAroundInnerLoop(t *testing.T) {
+	// entry -> h; h -> h2|exit; h2 -> b|l1; b -> h2|l2; l1 -> h; l2 -> h.
+	f := ir.NewFunc("twoback")
+	entry := f.NewBlock()
+	h := f.NewBlock()
+	h2 := f.NewBlock()
+	b := f.NewBlock()
+	l1 := f.NewBlock()
+	l2 := f.NewBlock()
+	exit := f.NewBlock()
+	c := f.NewTemp("c", true)
+	entry.Instrs = []*ir.Instr{{Op: ir.OpConst, Dst: c, Imm: 1}, {Op: ir.OpJmp, Target: h}}
+	h.Instrs = []*ir.Instr{{Op: ir.OpBr, A: ir.TempOp(c), Target: h2, Else: exit}}
+	h2.Instrs = []*ir.Instr{{Op: ir.OpBr, A: ir.TempOp(c), Target: b, Else: l1}}
+	b.Instrs = []*ir.Instr{{Op: ir.OpBr, A: ir.TempOp(c), Target: h2, Else: l2}}
+	l1.Instrs = []*ir.Instr{{Op: ir.OpJmp, Target: h}}
+	l2.Instrs = []*ir.Instr{{Op: ir.OpJmp, Target: h}}
+	exit.Instrs = []*ir.Instr{ir.NewRet(nil)}
+	f.ComputeCFG()
+
+	// The shape only tests something if the inner back edge is visited
+	// between the two outer ones.
+	var order []*ir.Block
+	for _, blk := range f.RPO() {
+		if blk == l1 || blk == b || blk == l2 {
+			order = append(order, blk)
+		}
+	}
+	if !slices.Equal(order, []*ir.Block{l1, b, l2}) {
+		t.Fatalf("latch order in RPO = %v, want [l1 b l2]", order)
+	}
+
+	loops := Loops(f)
+	if len(loops) != 2 || loops[0].Header != h || loops[1].Header != h2 {
+		t.Fatalf("loops = %v, want headers [h h2] in RPO", loops)
+	}
+	sortByID := func(bs []*ir.Block) []*ir.Block {
+		bs = slices.Clone(bs)
+		slices.SortFunc(bs, func(x, y *ir.Block) int { return x.ID - y.ID })
+		return bs
+	}
+	if got, want := sortByID(loops[0].Blocks), []*ir.Block{h, h2, b, l1, l2}; !slices.Equal(got, want) {
+		t.Errorf("outer members = %v, want %v", got, want)
+	}
+	if got, want := sortByID(loops[1].Blocks), []*ir.Block{h2, b}; !slices.Equal(got, want) {
+		t.Errorf("inner members = %v, want %v", got, want)
+	}
+	for blk, want := range map[*ir.Block]int{entry: 0, h: 1, h2: 2, b: 2, l1: 1, l2: 1, exit: 0} {
+		if blk.LoopDepth != want {
+			t.Errorf("LoopDepth(%s) = %d, want %d", blk, blk.LoopDepth, want)
+		}
 	}
 }

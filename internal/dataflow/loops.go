@@ -3,25 +3,32 @@ package dataflow
 import "chow88/internal/ir"
 
 // Dominators computes the immediate-dominator relation for f using the
-// classic iterative algorithm over reverse postorder. The returned map is
-// keyed by block; the entry block maps to itself.
-func Dominators(f *ir.Func) map[*ir.Block]*ir.Block {
-	rpo := f.RPO()
-	index := make(map[*ir.Block]int, len(rpo))
-	for i, b := range rpo {
-		index[b] = i
+// classic iterative algorithm over reverse postorder. The returned slice is
+// indexed by block ID: the entry block maps to itself, and a block
+// unreachable from the entry maps to nil.
+func Dominators(f *ir.Func) []*ir.Block { return dominators(f, f.RPO()) }
+
+// dominators is Dominators over f's reverse postorder rpo.
+func dominators(f *ir.Func, rpo []*ir.Block) []*ir.Block {
+	ids := f.NumBlockIDs()
+	idom := make([]*ir.Block, ids)
+	if len(rpo) == 0 {
+		return idom
 	}
-	idom := make(map[*ir.Block]*ir.Block, len(rpo))
+	index := make([]int, ids)
+	for i, b := range rpo {
+		index[b.ID] = i
+	}
 	entry := f.Entry()
-	idom[entry] = entry
+	idom[entry.ID] = entry
 
 	intersect := func(a, b *ir.Block) *ir.Block {
 		for a != b {
-			for index[a] > index[b] {
-				a = idom[a]
+			for index[a.ID] > index[b.ID] {
+				a = idom[a.ID]
 			}
-			for index[b] > index[a] {
-				b = idom[b]
+			for index[b.ID] > index[a.ID] {
+				b = idom[b.ID]
 			}
 		}
 		return a
@@ -35,7 +42,7 @@ func Dominators(f *ir.Func) map[*ir.Block]*ir.Block {
 			}
 			var newIdom *ir.Block
 			for _, p := range b.Preds {
-				if idom[p] == nil {
+				if idom[p.ID] == nil {
 					continue
 				}
 				if newIdom == nil {
@@ -44,8 +51,8 @@ func Dominators(f *ir.Func) map[*ir.Block]*ir.Block {
 					newIdom = intersect(newIdom, p)
 				}
 			}
-			if newIdom != nil && idom[b] != newIdom {
-				idom[b] = newIdom
+			if newIdom != nil && idom[b.ID] != newIdom {
+				idom[b.ID] = newIdom
 				changed = true
 			}
 		}
@@ -53,13 +60,14 @@ func Dominators(f *ir.Func) map[*ir.Block]*ir.Block {
 	return idom
 }
 
-// Dominates reports whether a dominates b under the idom map.
-func Dominates(idom map[*ir.Block]*ir.Block, a, b *ir.Block) bool {
+// Dominates reports whether a dominates b under the idom slice Dominators
+// returned.
+func Dominates(idom []*ir.Block, a, b *ir.Block) bool {
 	for {
 		if a == b {
 			return true
 		}
-		next := idom[b]
+		next := idom[b.ID]
 		if next == nil || next == b {
 			return false
 		}
@@ -67,56 +75,67 @@ func Dominates(idom map[*ir.Block]*ir.Block, a, b *ir.Block) bool {
 	}
 }
 
-// Loop is a natural loop: a header and the set of member blocks (including
-// the header).
+// Loop is a natural loop: a header and its member blocks, the header first
+// and each member listed once.
 type Loop struct {
 	Header *ir.Block
-	Blocks map[*ir.Block]bool
+	Blocks []*ir.Block
 }
 
 // Loops finds the natural loops of f (one per header; back edges sharing a
-// header are merged) and annotates every block's LoopDepth with its loop
-// nesting level. Blocks outside any loop get depth 0.
+// header are merged), in reverse postorder of their headers, and annotates
+// every block's LoopDepth with its loop nesting level. Blocks outside any
+// loop get depth 0.
 func Loops(f *ir.Func) []*Loop {
-	idom := Dominators(f)
-	loops := map[*ir.Block]*Loop{}
-
-	for _, b := range f.RPO() {
+	for _, b := range f.Blocks {
+		b.LoopDepth = 0
+	}
+	if len(f.Blocks) == 0 {
+		return nil
+	}
+	rpo := f.RPO()
+	idom := dominators(f, rpo)
+	ids := f.NumBlockIDs()
+	// One membership set per header: the walks of a header's back edges
+	// may be separated by another loop's walk, so a single "last loop"
+	// stamp per block would let the second walk list a block twice.
+	byHeader := make([]*Loop, ids)
+	member := make([][]bool, ids)
+	var stack []*ir.Block
+	for _, b := range rpo {
 		for _, s := range b.Succs {
 			if !Dominates(idom, s, b) {
 				continue // not a back edge
 			}
-			l := loops[s]
+			l, in := byHeader[s.ID], member[s.ID]
 			if l == nil {
-				l = &Loop{Header: s, Blocks: map[*ir.Block]bool{s: true}}
-				loops[s] = l
+				l = &Loop{Header: s, Blocks: []*ir.Block{s}}
+				in = make([]bool, ids)
+				in[s.ID] = true
+				byHeader[s.ID], member[s.ID] = l, in
 			}
 			// Walk predecessors backward from the latch to the header.
-			stack := []*ir.Block{b}
+			stack = append(stack[:0], b)
 			for len(stack) > 0 {
 				n := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				if l.Blocks[n] {
+				if in[n.ID] {
 					continue
 				}
-				l.Blocks[n] = true
-				for _, p := range n.Preds {
-					stack = append(stack, p)
-				}
+				in[n.ID] = true
+				l.Blocks = append(l.Blocks, n)
+				stack = append(stack, n.Preds...)
 			}
 		}
 	}
 
 	var out []*Loop
-	for _, l := range loops {
-		out = append(out, l)
-	}
-	for _, b := range f.Blocks {
-		b.LoopDepth = 0
-	}
-	for _, l := range out {
-		for b := range l.Blocks {
-			b.LoopDepth++
+	for _, h := range rpo {
+		if l := byHeader[h.ID]; l != nil {
+			out = append(out, l)
+			for _, b := range l.Blocks {
+				b.LoopDepth++
+			}
 		}
 	}
 	return out

@@ -89,8 +89,9 @@ func Analyze(f *ir.Func) *Result {
 // Range is the allocator's view of one temp.
 type Range struct {
 	Temp *ir.Temp
-	// Blocks the range touches (live-in, live-out, or referenced there).
-	Blocks map[*ir.Block]bool
+	// Blocks the range touches (live-in, live-out, or referenced there),
+	// each once, in f.Blocks order.
+	Blocks []*ir.Block
 	// Weight is the frequency-weighted number of occurrences (defs + uses):
 	// the number of memory operations avoided per run if the temp gets a
 	// register instead of a stack home.
@@ -109,21 +110,32 @@ type Range struct {
 // Spans reports whether the range crosses any call.
 func (r *Range) Spans() bool { return len(r.Calls) > 0 }
 
-// Ranges builds the per-temp range summaries.
+// touch records that the range touches b. Every touch of b happens while b
+// is being scanned, so comparing with the last block listed keeps Blocks
+// free of duplicates.
+func (r *Range) touch(b *ir.Block) {
+	if k := len(r.Blocks); k == 0 || r.Blocks[k-1] != b {
+		r.Blocks = append(r.Blocks, b)
+	}
+}
+
+// Ranges builds the per-temp range summaries, indexed by temp ID. The
+// ranges share one backing array.
 func Ranges(f *ir.Func, res *Result) []*Range {
 	n := f.NumTemps()
 	ranges := make([]*Range, n)
-	temps := f.Temps()
-	for i, t := range temps {
-		ranges[i] = &Range{Temp: t, Blocks: map[*ir.Block]bool{}}
+	backing := make([]Range, n)
+	for i, t := range f.Temps() {
+		backing[i].Temp = t
+		ranges[i] = &backing[i]
 	}
 	var buf []*ir.Temp
 	live := dataflow.GetScratch(n)
 	defer dataflow.PutScratch(live)
 	for _, b := range f.Blocks {
 		freq := b.Freq()
-		res.In(b).ForEach(func(i int) { ranges[i].Blocks[b] = true })
-		res.Out(b).ForEach(func(i int) { ranges[i].Blocks[b] = true })
+		res.In(b).ForEach(func(i int) { ranges[i].touch(b) })
+		res.Out(b).ForEach(func(i int) { ranges[i].touch(b) })
 		// Backward scan for live-across-call sets.
 		live.Copy(res.Out(b))
 		for ii := len(b.Instrs) - 1; ii >= 0; ii-- {
@@ -140,7 +152,7 @@ func Ranges(f *ir.Func, res *Result) []*Range {
 			if in.Dst != nil {
 				live.Clear(in.Dst.ID)
 				r := ranges[in.Dst.ID]
-				r.Blocks[b] = true
+				r.touch(b)
 				r.Weight += freq
 				r.Occurrences++
 			}
@@ -148,7 +160,7 @@ func Ranges(f *ir.Func, res *Result) []*Range {
 			for _, t := range buf {
 				live.Set(t.ID)
 				r := ranges[t.ID]
-				r.Blocks[b] = true
+				r.touch(b)
 				r.Weight += freq
 				r.Occurrences++
 			}

@@ -14,7 +14,7 @@ package regalloc
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"chow88/internal/dataflow"
@@ -188,12 +188,14 @@ func Allocate(f *ir.Func, opts Options) *Result {
 		}
 	}
 
+	callCost := callCosts(ranges, opts.Oracle)
+
 	// Candidate order: Chow's priority, savings normalized by range size.
 	type cand struct {
 		r    *liveness.Range
 		prio float64
 	}
-	var cands []cand
+	cands := make([]cand, 0, len(ranges))
 	for _, r := range ranges {
 		if r.Occurrences == 0 {
 			continue
@@ -202,19 +204,24 @@ func Allocate(f *ir.Func, opts Options) *Result {
 		if size == 0 {
 			size = 1
 		}
-		best := bestStaticNet(r, opts, allocatable)
+		best := bestStaticNet(r, callCost[r.Temp.ID], opts, allocatable)
 		cands = append(cands, cand{r: r, prio: best / size})
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].prio != cands[j].prio {
-			return cands[i].prio > cands[j].prio
+	slices.SortStableFunc(cands, func(a, b cand) int {
+		if a.prio != b.prio {
+			if a.prio > b.prio {
+				return -1
+			}
+			return 1
 		}
-		return cands[i].r.Temp.ID < cands[j].r.Temp.ID
+		return a.r.Temp.ID - b.r.Temp.ID
 	})
 
 	for _, c := range cands {
 		r := c.r
 		id := r.Temp.ID
+		cc := callCost[id]
+		bonus := prefs[id]
 		forbidden := mach.RegSet(0)
 		graph.Neighbors(id).ForEach(func(n int) {
 			if res.Locs[n].Kind == LocReg {
@@ -238,12 +245,11 @@ func Allocate(f *ir.Func, opts Options) *Result {
 		} else {
 			classPref = opts.Config.CallerSaved
 		}
-		allocatable.ForEach(func(reg mach.Reg) {
-			if forbidden.Has(reg) {
-				return
+		allocatable.Minus(forbidden).ForEach(func(reg mach.Reg) {
+			net := r.Weight - regCost(cc, reg, opts, res.UsedRegs)
+			if bonus != nil {
+				net += bonus[reg]
 			}
-			net := r.Weight - regCost(r, reg, opts, res.UsedRegs)
-			net += prefs.bonus(id, reg)
 			if better(net, reg, bestNet, bestReg, found, res.UsedRegs, opts.Prefer, classPref) {
 				bestReg, bestNet, found = reg, net, true
 			}
@@ -314,56 +320,87 @@ func better(net float64, reg mach.Reg, bestNet float64, bestReg mach.Reg, found 
 	if net < bestNet {
 		return false
 	}
-	score := func(r mach.Reg) int {
-		s := 0
-		if classPref.Has(r) {
-			s += 4
-		}
-		if used.Has(r) {
-			s += 2
-		}
-		if prefer.Has(r) {
-			s++
-		}
-		return s
-	}
-	sNew, sOld := score(reg), score(bestReg)
+	sNew, sOld := tieScore(reg, used, prefer, classPref), tieScore(bestReg, used, prefer, classPref)
 	if sNew != sOld {
 		return sNew > sOld
 	}
 	return reg < bestReg
 }
 
-// regCost returns the frequency-weighted save/restore cost of keeping the
-// range in reg.
-func regCost(r *liveness.Range, reg mach.Reg, opts Options, usedSoFar mach.RegSet) float64 {
-	cost := 0.0
-	calleeSaved := opts.Config.IsCalleeSaved(reg)
-	if opts.Mode == Intra && calleeSaved {
+// tieScore ranks a register for better's tie-break: preferred class first,
+// then already used, then in the preferred call-tree set.
+func tieScore(r mach.Reg, used, prefer, classPref mach.RegSet) int {
+	s := 0
+	if classPref.Has(r) {
+		s += 4
+	}
+	if used.Has(r) {
+		s += 2
+	}
+	if prefer.Has(r) {
+		s++
+	}
+	return s
+}
+
+// callCosts prices every call-spanning range's register choices: entry
+// reg of a range's vector is the frequency-weighted save/restore cost of
+// keeping it in reg across the calls it spans that may destroy reg. The
+// vectors are indexed by temp ID (nil for a range that spans no call or
+// never occurs) and share one backing array. The oracle is asked once per
+// (range, spanned call); each entry adds its terms in r.Calls order, so the
+// sums are the ones a per-register walk of r.Calls computes.
+func callCosts(ranges []*liveness.Range, oracle Oracle) []*[mach.NumRegs]float64 {
+	n := 0
+	for _, r := range ranges {
+		if r.Occurrences > 0 && r.Spans() {
+			n++
+		}
+	}
+	costs := make([]*[mach.NumRegs]float64, len(ranges))
+	backing := make([][mach.NumRegs]float64, n)
+	for id, r := range ranges {
+		if r.Occurrences == 0 || !r.Spans() {
+			continue
+		}
+		cc := &backing[0]
+		backing = backing[1:]
+		for _, cs := range r.Calls {
+			c := 2 * cs.Block.Freq()
+			oracle.Clobbered(cs.Instr).ForEach(func(reg mach.Reg) { cc[reg] += c })
+		}
+		costs[id] = cc
+	}
+	return costs
+}
+
+// regCost returns the frequency-weighted save/restore cost of keeping a
+// range in reg, given the range's call-cost vector cc (nil when it spans no
+// call).
+func regCost(cc *[mach.NumRegs]float64, reg mach.Reg, opts Options, usedSoFar mach.RegSet) float64 {
+	if opts.Mode == Intra && opts.Config.IsCalleeSaved(reg) {
 		// One save at entry plus one restore per exit, charged once per
 		// register, unless the register must be saved anyway for the sake
 		// of closed children.
 		if !usedSoFar.Has(reg) && !opts.MustSave.Has(reg) {
-			cost += 2
+			return 2
 		}
-		return cost
+		return 0
 	}
 	// Caller-saved behaviour (also every register under Inter mode): pay a
 	// save and a restore around each spanned call that clobbers reg.
-	for _, cs := range r.Calls {
-		if opts.Oracle.Clobbered(cs.Instr).Has(reg) {
-			cost += 2 * cs.Block.Freq()
-		}
+	if cc == nil {
+		return 0
 	}
-	return cost
+	return cc[reg]
 }
 
 // bestStaticNet estimates the best achievable net benefit for ordering
 // purposes (ignoring neighbors, assuming callee-saved charges apply).
-func bestStaticNet(r *liveness.Range, opts Options, allocatable mach.RegSet) float64 {
+func bestStaticNet(r *liveness.Range, cc *[mach.NumRegs]float64, opts Options, allocatable mach.RegSet) float64 {
 	best := math.Inf(-1)
 	allocatable.ForEach(func(reg mach.Reg) {
-		net := r.Weight - regCost(r, reg, opts, 0)
+		net := r.Weight - regCost(cc, reg, opts, 0)
 		if net > best {
 			best = net
 		}
@@ -371,33 +408,23 @@ func bestStaticNet(r *liveness.Range, opts Options, allocatable mach.RegSet) flo
 	return best
 }
 
-// preferences maps temp IDs to per-register priority bonuses, derived from
-// the parameter-passing optimization (§4): a temp that is an outgoing
-// argument gains priority for the register the callee expects it in, and an
-// incoming parameter gains priority for the register it arrives in, so the
-// value can stay put from caller to callee.
-type preferences struct {
-	m map[int]map[mach.Reg]float64
-}
-
-func (p preferences) bonus(id int, reg mach.Reg) float64 {
-	if b, ok := p.m[id]; ok {
-		return b[reg]
-	}
-	return 0
-}
+// preferences holds per-register priority bonuses indexed by temp ID (nil
+// for a temp with none), derived from the parameter-passing optimization
+// (§4): a temp that is an outgoing argument gains priority for the register
+// the callee expects it in, and an incoming parameter gains priority for
+// the register it arrives in, so the value can stay put from caller to
+// callee.
+type preferences []*[mach.NumRegs]float64
 
 func (p preferences) add(id int, reg mach.Reg, v float64) {
-	b := p.m[id]
-	if b == nil {
-		b = map[mach.Reg]float64{}
-		p.m[id] = b
+	if p[id] == nil {
+		p[id] = new([mach.NumRegs]float64)
 	}
-	b[reg] += v
+	p[id][reg] += v
 }
 
 func computePreferences(f *ir.Func, opts Options) preferences {
-	p := preferences{m: map[int]map[mach.Reg]float64{}}
+	p := make(preferences, f.NumTemps())
 	// Incoming parameters prefer their arrival registers.
 	for i, t := range f.Params {
 		if opts.ParamIn != nil && i < len(opts.ParamIn) && opts.ParamIn[i].InReg {
