@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchjson ci fmt-check vet chaos incr sim inline chowd sweep mem opt plan fuzz trace clean
+.PHONY: all build test race bench benchjson ci fmt-check vet chaos incr sim inline chowd sweep mem opt plan paper fuzz trace clean
 
 all: build
 
@@ -135,6 +135,15 @@ plan:
 	$(GO) test -run 'TestDominatorsLoopsMatchMapVersions|TestLoopsTwoBackEdgesAroundInnerLoop|TestCallCostsMatchPerRegisterWalk' -v ./internal/dataflow ./internal/regalloc
 	$(GO) test -run '^$$' -bench 'BenchmarkCompilePlan' -benchtime 1x ./
 
+# Paper-metric gate: the full `experiments -all` output (Tables 1-2,
+# Figures 1-4, the height ablation, profile feedback, inlining vs IPRA, the
+# convention sweep and the tuner) must match testdata/experiments.golden
+# byte for byte. Also exercised by plain `make test`; this target runs it
+# alone. Refresh with `go test -run TestExperimentsGolden -update .` only
+# after an intended change to generated code.
+paper:
+	$(GO) test -run 'TestExperimentsGolden' -count=1 -v ./
+
 # Longer fuzzing session for the front-end containment, differential
 # compile and daemon request-decoder targets. FUZZTIME can be raised for
 # overnight runs.
@@ -154,13 +163,14 @@ fuzz:
 # the liveness differential and the optimized-IR goldens), the planner gate
 # (dataflow, liveness, regalloc, core and check tests, the dominator/loop
 # differential, the call-cost equivalence test and a planner benchmark
-# smoke), a one-iteration smoke of the compile,
+# smoke), the paper-metric golden (the full experiments output), a
+# one-iteration smoke of the compile,
 # incremental, simulator (fast and reference engines), inliner,
 # daemon-saturation and convention benchmarks (via benchjson, which also
 # refreshes the $(BENCH) trajectory snapshot), the obs- and explain-disabled
 # zero-allocation checks, and a short smoke of the fuzz targets (seed
 # corpus + a few seconds of mutation).
-ci: fmt-check vet build race incr sim inline chowd sweep mem opt plan benchjson
+ci: fmt-check vet build race incr sim inline chowd sweep mem opt plan paper benchjson
 	$(GO) test -run '^$$' -bench 'BenchmarkObsDisabled' -benchtime 1x ./internal/obs
 	$(GO) test -run '^$$' -bench 'BenchmarkExplainDisabled' -benchtime 1x ./internal/explain
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./
