@@ -30,7 +30,6 @@ import (
 
 	"chow88/internal/core"
 	"chow88/internal/explain"
-	"chow88/internal/front"
 	"chow88/internal/incr"
 	"chow88/internal/interp"
 	"chow88/internal/ir"
@@ -100,6 +99,10 @@ type Program struct {
 // whose plan fails validation is demoted to the safe open convention and
 // the affected call-graph slice replanned, with the interventions recorded
 // on Program.Demotions. mode.Strict turns any such repair into an error.
+//
+// Compile, CompileCtx, CompileProfiled and CompileInlined all run through
+// pipeline.Compile / pipeline.CompileProfiled, the one entry that owns the
+// compile span, its report window and the front-cache policy.
 func Compile(src string, mode Mode) (*Program, error) {
 	return CompileCtx(context.Background(), src, mode)
 }
@@ -109,31 +112,20 @@ func Compile(src string, mode Mode) (*Program, error) {
 // pipeline.BuildCtx). It is the primitive the chowd daemon's per-request
 // deadlines are built on. A nil ctx means Background.
 func CompileCtx(ctx context.Context, src string, mode Mode) (*Program, error) {
-	s := obs.Current()
-	snap := s.Snap()
-	var sp obs.Span
-	if s != nil {
-		sp = s.Span(obs.PhaseCompile, "Compile "+mode.Name)
-	}
-	mod, err := front.Module(src, mode.Optimize, !mode.Sequential)
+	c, err := pipeline.Compile(ctx, src, mode, "Compile")
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
-	plan, code, demotions, err := pipeline.BuildCtx(ctx, mod, mode)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	sp.End()
-	// plan.Module, not mod: an inlined build that was discarded compiled the
-	// pristine clone, and an inlined build that stuck rewrote mod in place.
-	p := &Program{Mode: mode, Module: plan.Module, Plan: plan, Code: code, Demotions: demotions, Inline: plan.Inline}
-	if s != nil {
-		p.Report = &obs.CompileReport{Report: *s.ReportSince(snap), Demotions: demotions}
-	}
+	return newProgram(mode, c), nil
+}
+
+// newProgram wraps a finished build. Plan.Module, not the front end's
+// module: an inlined build that was discarded compiled the pristine clone,
+// and an inlined build that stuck rewrote the module in place.
+func newProgram(mode Mode, c *pipeline.Compiled) *Program {
+	p := &Program{Mode: mode, Module: c.Plan.Module, Plan: c.Plan, Code: c.Code, Demotions: c.Demotions, Inline: c.Plan.Inline, Report: c.Report}
 	attachExplain(p)
-	return p, nil
+	return p
 }
 
 // attachExplain snapshots the active decision journal (if any) onto the
@@ -178,14 +170,13 @@ func CompileIncrementalCtx(ctx context.Context, src string, mode Mode, statePath
 		// A failed save only costs the next round its head start.
 		_ = res.State.Save(statePath)
 	}
-	p := &Program{Mode: mode, Module: res.Plan.Module, Plan: res.Plan, Code: res.Prog, Demotions: res.Demotions, Inline: res.Plan.Inline}
+	c := &pipeline.Compiled{Plan: res.Plan, Code: res.Prog, Demotions: res.Demotions}
 	if s != nil {
-		p.Report = &obs.CompileReport{Report: *s.ReportSince(snap), Demotions: res.Demotions}
+		c.Report = &obs.CompileReport{Report: *s.ReportSince(snap), Demotions: res.Demotions}
 	}
 	// On the incremental path the journal covers only the replanned
 	// frontier: reused plans and code were never re-decided this round.
-	attachExplain(p)
-	return p, nil
+	return newProgram(mode, c), nil
 }
 
 // RunResult is the outcome of executing a compiled program.

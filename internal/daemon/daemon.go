@@ -40,7 +40,6 @@ import (
 
 	"chow88/internal/classify"
 	"chow88/internal/faultinject"
-	"chow88/internal/front"
 	"chow88/internal/incr"
 	"chow88/internal/mcode"
 	"chow88/internal/obs"
@@ -403,10 +402,12 @@ func deadlineResponse(err error) *Response {
 	}}
 }
 
-// compile is the shared compile step: front end (cached) plus the
-// validated pipeline under ctx's deadline. On success it fills a response
-// with the compile-shaped fields and also returns the machine code for
-// endpoints that go on to execute it.
+// compile is the shared compile step: pipeline.Compile (cached front end
+// plus the validated pipeline) under ctx's deadline. The span is the
+// server's own, on its session; the compile takes no report window of its
+// own, since concurrent workers share the session. On success it fills a
+// response with the compile-shaped fields and also returns the machine code
+// for endpoints that go on to execute it.
 func (s *Server) compile(ctx context.Context, req *Request) (*Response, *mcode.Program, int, *Response) {
 	mode, rerr := req.Mode()
 	if rerr != nil { // unreachable: DecodeRequest validated; defense in depth
@@ -414,24 +415,19 @@ func (s *Server) compile(ctx context.Context, req *Request) (*Response, *mcode.P
 	}
 	sp := s.obs.Span(obs.PhaseCompile, "daemon compile "+mode.Name)
 	defer sp.End()
-	mod, err := front.Module(req.Source, mode.Optimize, !mode.Sequential)
+	c, err := pipeline.Compile(ctx, req.Source, mode, "")
 	if err != nil {
 		status, resp := errorResponse(err)
 		return nil, nil, status, resp
 	}
-	plan, code, demotions, err := pipeline.BuildCtx(ctx, mod, mode)
-	if err != nil {
-		status, resp := errorResponse(err)
-		return nil, nil, status, resp
-	}
-	resp := &Response{OK: true, Mode: mode.Name, Funcs: len(plan.Funcs), CodeWords: len(code.Code)}
-	for _, d := range demotions {
+	resp := &Response{OK: true, Mode: mode.Name, Funcs: len(c.Plan.Funcs), CodeWords: len(c.Code.Code)}
+	for _, d := range c.Demotions {
 		resp.Demotions = append(resp.Demotions, d.String())
 	}
 	if req.Disasm {
-		resp.Disasm = code.Disassemble()
+		resp.Disasm = c.Code.Disassemble()
 	}
-	return resp, code, 0, nil
+	return resp, c.Code, 0, nil
 }
 
 // compileWork compiles the source and describes the result.

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -21,11 +22,13 @@ import (
 )
 
 // measured is one compile+run of a benchmark under one mode: the trace
-// stats and output, plus the per-measurement obs reports when a session is
-// active (nil otherwise).
+// stats and output, the integrator's report (nil unless the mode inlined and
+// the inlined build survived), plus the per-measurement obs reports when a
+// session is active (nil otherwise).
 type measured struct {
 	stats   *pixie.Stats
 	output  []int64
+	inline  *obs.InlineReport
 	compile *obs.CompileReport
 	run     *obs.RunReport
 }
@@ -34,33 +37,32 @@ type measured struct {
 // The front end is shared across modes through internal/front's cache, so
 // a table's six-mode matrix lowers and optimizes each benchmark once.
 func run(src string, mode core.Mode) (*measured, error) {
-	s := obs.Current()
-	snap := s.Snap()
-	var sp obs.Span
-	if s != nil {
-		sp = s.Span(obs.PhaseCompile, "Compile "+mode.Name)
-	}
-	mod, err := front.Module(src, mode.Optimize, !mode.Sequential)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	_, code, demotions, err := pipeline.Build(mod, mode)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	sp.End()
-	out := &measured{}
-	if s != nil {
-		out.compile = &obs.CompileReport{Report: *s.ReportSince(snap), Demotions: demotions}
-	}
-	res, err := sim.Run(code, sim.Options{})
+	return execute(pipeline.Compile(context.Background(), src, mode, "Compile"))
+}
+
+// execute runs a finished compile on the default engine.
+func execute(c *pipeline.Compiled, err error) (*measured, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.stats, out.output, out.run = &res.Stats, res.Output, res.Report
-	return out, nil
+	res, err := sim.Run(c.Code, sim.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return &measured{stats: &res.Stats, output: res.Output, inline: c.Plan.Inline, compile: c.Report, run: res.Report}, nil
+}
+
+// sameOutput reports where got diverges from want.
+func sameOutput(got, want []int64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("output diverged")
+	}
+	for k := range got {
+		if got[k] != want[k] {
+			return fmt.Errorf("output diverged at %d", k)
+		}
+	}
+	return nil
 }
 
 // Measurement holds one benchmark's stats under every mode of a table.
@@ -133,13 +135,8 @@ func RunSuite(keys []string) ([]*Measurement, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s [%s]: %w", b.Name, k, err)
 			}
-			if len(got.output) != len(wantOut) {
-				return nil, fmt.Errorf("%s [%s]: output diverged", b.Name, k)
-			}
-			for i := range got.output {
-				if got.output[i] != wantOut[i] {
-					return nil, fmt.Errorf("%s [%s]: output diverged at %d", b.Name, k, i)
-				}
+			if err := sameOutput(got.output, wantOut); err != nil {
+				return nil, fmt.Errorf("%s [%s]: %w", b.Name, k, err)
 			}
 			m.ByMode[k] = got.stats
 			m.noteObs(k, got)

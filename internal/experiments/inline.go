@@ -6,48 +6,19 @@ import (
 
 	"chow88/internal/benchprog"
 	"chow88/internal/core"
-	"chow88/internal/front"
 	"chow88/internal/inline"
-	"chow88/internal/obs"
-	"chow88/internal/pipeline"
 	"chow88/internal/pixie"
-	"chow88/internal/sim"
 )
 
 // runInlined is runProfiled with the procedure integrator enabled: the same
 // baseline training run attaches measured block frequencies, and the final
-// build inlines hot call sites from those measurements before planning. It
-// additionally returns the integrator's report (nil if the inlined build was
-// discarded by graceful degradation).
-func runInlined(src string, mode core.Mode, budget int) (*pixie.Stats, []int64, *obs.InlineReport, error) {
-	mod, err := front.Module(src, mode.Optimize, !mode.Sequential)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	train := core.ModeBase()
-	train.Optimize = mode.Optimize
-	train.Validate = mode.Validate
-	_, trainCode, _, err := pipeline.Build(mod, train)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	trainRes, err := sim.Run(trainCode, sim.Options{Profile: true})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	applyCounts(mod, trainCode, trainRes.InstrCounts)
-
+// build inlines hot call sites from those measurements before planning.
+// Its inline report is nil if the inlined build was discarded by graceful
+// degradation.
+func runInlined(src string, mode core.Mode, budget int) (*measured, error) {
 	mode.Inline = true
 	mode.InlineBudget = budget
-	pp, code, _, err := pipeline.Build(mod, mode)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	res, err := sim.Run(code, sim.Options{})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return &res.Stats, res.Output, pp.Inline, nil
+	return runProfiled(src, mode)
 }
 
 // InlineVsIPRA extends the paper's Table 2 question — where does the call
@@ -67,22 +38,18 @@ func InlineVsIPRA() (string, error) {
 	improved, regressed := 0, 0
 	var worst float64
 	for _, bench := range benchprog.All() {
-		ipra, outI, err := runProfiled(bench.Source, core.ModeC())
+		ipraRun, err := runProfiled(bench.Source, core.ModeC())
 		if err != nil {
 			return "", fmt.Errorf("%s ipra: %w", bench.Name, err)
 		}
-		inl, outN, rep, err := runInlined(bench.Source, core.ModeC(), inline.DefaultBudget)
+		inlRun, err := runInlined(bench.Source, core.ModeC(), inline.DefaultBudget)
 		if err != nil {
 			return "", fmt.Errorf("%s inline: %w", bench.Name, err)
 		}
-		if len(outI) != len(outN) {
-			return "", fmt.Errorf("%s: output diverged", bench.Name)
+		if err := sameOutput(inlRun.output, ipraRun.output); err != nil {
+			return "", fmt.Errorf("%s: %w", bench.Name, err)
 		}
-		for i := range outI {
-			if outI[i] != outN[i] {
-				return "", fmt.Errorf("%s: output diverged at %d", bench.Name, i)
-			}
-		}
+		ipra, inl, rep := ipraRun.stats, inlRun.stats, inlRun.inline
 		delta := pixie.PercentReduction(ipra.Cycles, inl.Cycles)
 		if inl.Cycles < ipra.Cycles {
 			improved++

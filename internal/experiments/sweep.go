@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -10,12 +11,10 @@ import (
 	"chow88/internal/benchprog"
 	"chow88/internal/core"
 	"chow88/internal/explain"
-	"chow88/internal/front"
 	"chow88/internal/mach"
 	"chow88/internal/pipeline"
 	"chow88/internal/pixie"
 	"chow88/internal/progen"
-	"chow88/internal/sim"
 )
 
 // The convention sweep answers the question the paper fixes by fiat: given
@@ -51,7 +50,7 @@ func SweepWorkload(n int) ([]Workload, error) {
 	cfg.MaxParams = mach.MaxParams
 	for seed, found := int64(0), 0; found < n && seed < int64(n)*8+32; seed++ {
 		src := progen.Generate(seed, cfg)
-		if _, _, err := sweepRun(src, core.ModeC()); err != nil {
+		if _, err := sweepRun(src, core.ModeC()); err != nil {
 			continue
 		}
 		out = append(out, Workload{Name: fmt.Sprintf("gen%d", seed), Source: src})
@@ -64,20 +63,8 @@ func SweepWorkload(n int) ([]Workload, error) {
 // default (fast) engine, return the trace stats and output. No obs spans —
 // sweep candidates run concurrently and per-measurement reports would
 // interleave.
-func sweepRun(src string, mode core.Mode) (*pixie.Stats, []int64, error) {
-	mod, err := front.Module(src, mode.Optimize, !mode.Sequential)
-	if err != nil {
-		return nil, nil, err
-	}
-	_, code, _, err := pipeline.Build(mod, mode)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := sim.Run(code, sim.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return &res.Stats, res.Output, nil
+func sweepRun(src string, mode core.Mode) (*measured, error) {
+	return execute(pipeline.Compile(context.Background(), src, mode, ""))
 }
 
 // SweepRow is one candidate convention's aggregate over the workload.
@@ -165,12 +152,12 @@ func Sweep(cands []*mach.Config, workload []Workload, workers int) (*SweepReport
 	}
 	wantOut := make([][]int64, len(workload))
 	for i, w := range workload {
-		st, out, err := sweepRun(w.Source, core.ModeConv(baseRow.Cfg))
+		m, err := sweepRun(w.Source, core.ModeConv(baseRow.Cfg))
 		if err != nil {
 			return nil, fmt.Errorf("%s [%s]: %w", w.Name, baseRow.Spec, err)
 		}
-		wantOut[i] = out
-		baseRow.note(st)
+		wantOut[i] = m.output
+		baseRow.note(m.stats)
 	}
 	rep.Base = baseRow
 
@@ -255,19 +242,14 @@ feed:
 // convention, checking output against the default convention's.
 func measureRow(row *SweepRow, workload []Workload, wantOut [][]int64) error {
 	for i, w := range workload {
-		st, out, err := sweepRun(w.Source, core.ModeConv(row.Cfg))
+		m, err := sweepRun(w.Source, core.ModeConv(row.Cfg))
 		if err != nil {
 			return fmt.Errorf("%s [%s]: %w", w.Name, row.Spec, err)
 		}
-		if len(out) != len(wantOut[i]) {
-			return fmt.Errorf("%s [%s]: output diverged", w.Name, row.Spec)
+		if err := sameOutput(m.output, wantOut[i]); err != nil {
+			return fmt.Errorf("%s [%s]: %w", w.Name, row.Spec, err)
 		}
-		for k := range out {
-			if out[k] != wantOut[i][k] {
-				return fmt.Errorf("%s [%s]: output diverged at %d", w.Name, row.Spec, k)
-			}
-		}
-		row.note(st)
+		row.note(m.stats)
 	}
 	return nil
 }
@@ -288,7 +270,7 @@ func attributeDelta(w Workload, base, win *SweepRow, prog int) (string, error) {
 	arts := make([]*explain.Artifact, 2)
 	for i, cfg := range []*mach.Config{base.Cfg, win.Cfg} {
 		j := explain.Begin()
-		_, _, err := sweepRun(w.Source, core.ModeConv(cfg))
+		_, err := sweepRun(w.Source, core.ModeConv(cfg))
 		explain.End()
 		if err != nil {
 			return "", err
@@ -440,47 +422,25 @@ func Tune(cands []*mach.Config, workers int) ([]*TuneRow, error) {
 // tuneProgram trains src once and races every candidate convention on the
 // profiled build.
 func tuneProgram(name, src string, base *mach.Config, pool []*mach.Config) (*TuneRow, error) {
-	mod, err := front.Module(src, true, true)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	_, trainCode, _, err := pipeline.Build(mod, core.ModeBase())
+	prof, err := pipeline.Train(src, core.ModeConv(base))
 	if err != nil {
 		return nil, fmt.Errorf("%s [train]: %w", name, err)
 	}
-	trainRes, err := sim.Run(trainCode, sim.Options{Profile: true})
-	if err != nil {
-		return nil, fmt.Errorf("%s [train]: %w", name, err)
-	}
-	wantOut := trainRes.Output
+	wantOut := prof.Run.Output
 
 	row := &TuneRow{Program: name, Evaluated: len(pool)}
 	baseSpec := base.Spec()
 	for _, cfg := range pool {
-		// A fresh clone per candidate: applyCounts writes block profiles onto
-		// the module, and the cached front end hands each call a private copy.
-		m, err := front.Module(src, true, true)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		applyCounts(m, trainCode, trainRes.InstrCounts)
-		_, code, _, err := pipeline.Build(m, core.ModeConv(cfg))
+		// Each candidate compiles a fresh front-end clone with the one
+		// training run's counts applied to it.
+		m, err := execute(pipeline.CompileProfiled(context.Background(), src, core.ModeConv(cfg), "", prof))
 		if err != nil {
 			return nil, fmt.Errorf("%s [%s]: %w", name, cfg.Spec(), err)
 		}
-		res, err := sim.Run(code, sim.Options{})
-		if err != nil {
+		if err := sameOutput(m.output, wantOut); err != nil {
 			return nil, fmt.Errorf("%s [%s]: %w", name, cfg.Spec(), err)
 		}
-		if len(res.Output) != len(wantOut) {
-			return nil, fmt.Errorf("%s [%s]: output diverged", name, cfg.Spec())
-		}
-		for k := range res.Output {
-			if res.Output[k] != wantOut[k] {
-				return nil, fmt.Errorf("%s [%s]: output diverged at %d", name, cfg.Spec(), k)
-			}
-		}
-		cyc := res.Stats.Cycles
+		cyc := m.stats.Cycles
 		if cfg.Spec() == baseSpec {
 			row.BaseCycles = cyc
 		}

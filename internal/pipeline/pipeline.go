@@ -1,7 +1,9 @@
 // Package pipeline orchestrates the validated middle/back end: register
 // allocation (core.PlanModule), the linkage-invariant validator
 // (internal/check) and code generation (internal/codegen), connected by
-// the graceful-degradation loop.
+// the graceful-degradation loop. Compile and CompileProfiled are the one
+// entry that runs the front end and then this back end, and the only
+// place a profile-training build and run happen.
 //
 // Per procedure the degradation ladder is:
 //
@@ -28,7 +30,6 @@ import (
 	"chow88/internal/codegen"
 	"chow88/internal/core"
 	"chow88/internal/explain"
-	"chow88/internal/front"
 	"chow88/internal/incr"
 	"chow88/internal/inline"
 	"chow88/internal/ir"
@@ -319,20 +320,16 @@ type IncrementalResult struct {
 // fullBuildIncremental is the fallback: a clean full build plus a state
 // capture for the next round.
 func fullBuildIncremental(ctx context.Context, src string, mode core.Mode, reason string) (*IncrementalResult, error) {
-	mod, err := front.Module(src, mode.Optimize, !mode.Sequential)
+	c, err := Compile(ctx, src, mode, "")
 	if err != nil {
 		return nil, err
 	}
-	pp, prog, demotions, err := BuildCtx(ctx, mod, mode)
-	if err != nil {
-		return nil, err
-	}
-	res := &IncrementalResult{Plan: pp, Prog: prog, FallbackReason: reason, Demotions: demotions}
+	res := &IncrementalResult{Plan: c.Plan, Prog: c.Code, FallbackReason: reason, Demotions: c.Demotions}
 	// A degraded plan reflects this build's repair history, not a function
 	// of the source alone; don't let it seed future incremental rounds.
 	// Inlined builds never capture: see BuildIncremental.
-	if len(demotions) == 0 && !mode.Inline {
-		if st, err := incr.Capture(src, mode, pp); err == nil {
+	if len(c.Demotions) == 0 && !mode.Inline {
+		if st, err := incr.Capture(src, mode, c.Plan); err == nil {
 			res.State = st
 		}
 	}

@@ -9,12 +9,12 @@ import (
 	"time"
 
 	"chow88/internal/benchprog"
+	"chow88/internal/codegen"
 	"chow88/internal/core"
 	"chow88/internal/front"
 	"chow88/internal/mach"
 	"chow88/internal/mcode"
 	"chow88/internal/obs"
-	"chow88/internal/pipeline"
 )
 
 // TestRunHeapAllocBounded holds a warm run's Go-heap allocation far below
@@ -26,7 +26,7 @@ func TestRunHeapAllocBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, p, _, err := pipeline.Build(mod, core.ModeC())
+	p, err := codegen.Generate(core.PlanModule(mod, core.ModeC()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,9 @@
 package chow88
 
 import (
-	"fmt"
+	"context"
 
-	"chow88/internal/core"
-	"chow88/internal/explain"
-	"chow88/internal/front"
-	"chow88/internal/ir"
-	"chow88/internal/mcode"
-	"chow88/internal/obs"
 	"chow88/internal/pipeline"
-	"chow88/internal/sim"
 )
 
 // CompileProfiled implements the paper's stated future work: "The feedback
@@ -25,63 +18,19 @@ import (
 // (propagation moving saves into a region that runs more often than the
 // region they left) cannot happen, because the priorities now see the real
 // relative frequencies of the call-graph levels.
+//
+// The training build compiles the same front-end module under ModeBase with
+// mode's Optimize, ForceOpen, Validate and Strict. The explain journal
+// restarts after training, and with an obs session active Report.Training
+// carries the training window apart from the final build's. Like Compile,
+// it runs through the single pipeline entry (pipeline.CompileProfiled),
+// which holds the only training build and run.
 func CompileProfiled(src string, mode Mode) (*Program, error) {
-	s := obs.Current()
-	snap0 := s.Snap()
-	var sp obs.Span
-	if s != nil {
-		sp = s.Span(obs.PhaseCompile, "CompileProfiled "+mode.Name)
-	}
-	mod, err := front.Module(src, mode.Optimize, !mode.Sequential)
+	c, err := pipeline.CompileProfiled(context.Background(), src, mode, "CompileProfiled", nil)
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
-
-	// Training build: the baseline configuration on the same IR.
-	train := core.ModeBase()
-	train.Optimize = mode.Optimize
-	train.ForceOpen = mode.ForceOpen
-	train.Validate = mode.Validate
-	train.Strict = mode.Strict
-	_, trainCode, _, err := pipeline.Build(mod, train)
-	if err != nil {
-		sp.End()
-		return nil, fmt.Errorf("training build: %w", err)
-	}
-	trainRes, err := sim.Run(trainCode, sim.Options{Profile: true})
-	if err != nil {
-		sp.End()
-		return nil, fmt.Errorf("training run: %w", err)
-	}
-	if err := ApplyProfile(mod, trainCode, trainRes); err != nil {
-		sp.End()
-		return nil, err
-	}
-
-	// The training window closes here; the final build reports separately.
-	// The journal restarts too: the training build's decisions describe the
-	// baseline throwaway, not the program being shipped.
-	explain.Current().Reset()
-	var training *obs.Report
-	var snap1 obs.Snapshot
-	if s != nil {
-		training = s.ReportSince(snap0)
-		snap1 = s.Snap()
-	}
-
-	plan, code, demotions, err := pipeline.Build(mod, mode)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	sp.End()
-	p := &Program{Mode: mode, Module: plan.Module, Plan: plan, Code: code, Demotions: demotions, Inline: plan.Inline}
-	if s != nil {
-		p.Report = &obs.CompileReport{Report: *s.ReportSince(snap1), Training: training, Demotions: demotions}
-	}
-	attachExplain(p)
-	return p, nil
+	return newProgram(mode, c), nil
 }
 
 // CompileInlined is the profile-guided inlining entry point: a training
@@ -98,47 +47,4 @@ func CompileInlined(src string, mode Mode, budget int) (*Program, error) {
 	mode.Inline = true
 	mode.InlineBudget = budget
 	return CompileProfiled(src, mode)
-}
-
-// ApplyProfile folds a profiling run's per-instruction execution counts back
-// onto the IR module the code was generated from: each basic block receives
-// the execution count of its first instruction. The module must be the one
-// the code image was generated from (block identities must match).
-func ApplyProfile(mod *ir.Module, code *mcode.Program, res *sim.Result) error {
-	if res.InstrCounts == nil {
-		return fmt.Errorf("profile: run was not executed with Profile enabled")
-	}
-	for _, fi := range code.Funcs {
-		if fi.Extern {
-			continue
-		}
-		f := mod.Lookup(fi.Name)
-		if f == nil {
-			return fmt.Errorf("profile: image function %s not in module", fi.Name)
-		}
-		byID := make(map[int]*ir.Block, len(f.Blocks))
-		for _, b := range f.Blocks {
-			byID[b.ID] = b
-		}
-		for _, span := range fi.Blocks {
-			b, ok := byID[span.BlockID]
-			if !ok {
-				return fmt.Errorf("profile: %s has no block %d", fi.Name, span.BlockID)
-			}
-			if span.Start < len(res.InstrCounts) {
-				b.SetProfile(res.InstrCounts[span.Start])
-			}
-		}
-	}
-	return nil
-}
-
-// ClearProfile removes attached profile data, restoring the static
-// loop-depth frequency estimates.
-func ClearProfile(mod *ir.Module) {
-	for _, f := range mod.Funcs {
-		for _, b := range f.Blocks {
-			b.ClearProfile()
-		}
-	}
 }
