@@ -104,10 +104,27 @@ type checker struct {
 	cfg       *mach.Config
 	summaryOf func(*ir.Func) *core.Summary
 	viols     []Violation
+	// spanned is checkFunc's scratch set of one recorded range's calls.
+	spanned map[*ir.Instr]bool
 }
 
 func (c *checker) report(fn, rule, format string, args ...any) {
 	c.viols = append(c.viols, Violation{Func: fn, Rule: rule, Detail: fmt.Sprintf(format, args...)})
+}
+
+// markSpanned adds the calls recorded range id spans to c.spanned and
+// returns them, for the caller to remove again.
+func (c *checker) markSpanned(recorded []*liveness.Range, id int) []ir.CallSite {
+	if id >= len(recorded) || recorded[id] == nil {
+		return nil
+	}
+	if c.spanned == nil {
+		c.spanned = make(map[*ir.Instr]bool)
+	}
+	for _, cs := range recorded[id].Calls {
+		c.spanned[cs.Instr] = true
+	}
+	return recorded[id].Calls
 }
 
 // defaultClobber is the register set a call under the default linkage may
@@ -267,18 +284,8 @@ func (c *checker) checkFunc(f *ir.Func, fp *core.FuncPlan) {
 	// A live range in a register the callee may destroy must be saved
 	// around the call. Code generation saves exactly the calls the
 	// *recorded* ranges span, so every recomputed spanned call must appear
-	// there too.
-	recorded := make(map[int]map[*ir.Instr]bool, len(fp.Alloc.Ranges))
-	for id, rng := range fp.Alloc.Ranges {
-		if rng == nil || len(rng.Calls) == 0 {
-			continue
-		}
-		m := make(map[*ir.Instr]bool, len(rng.Calls))
-		for _, cs := range rng.Calls {
-			m[cs.Instr] = true
-		}
-		recorded[id] = m
-	}
+	// there too. One range's recorded calls at a time sit in c.spanned, a
+	// set reused across ranges and filled only for a range that needs it.
 	for id, rng := range ranges {
 		if id >= len(fp.Alloc.Locs) {
 			c.report(f.Name, RuleUnsavedLiveRange, "temp %d outside the recorded allocation", id)
@@ -288,15 +295,23 @@ func (c *checker) checkFunc(f *ir.Func, fp *core.FuncPlan) {
 		if l.Kind != regalloc.LocReg {
 			continue
 		}
+		var marked []ir.CallSite
+		filled := false
 		for _, cs := range rng.Calls {
 			if !c.derivedClobber(cs.Instr).Has(l.Reg) {
 				continue
 			}
-			if !recorded[id][cs.Instr] {
+			if !filled {
+				marked, filled = c.markSpanned(fp.Alloc.Ranges, id), true
+			}
+			if !c.spanned[cs.Instr] {
 				c.report(f.Name, RuleUnsavedLiveRange,
 					"%s (temp %d) is live in %s across a call that may destroy it, with no recorded save",
 					rng.Temp, id, l.Reg)
 			}
+		}
+		for _, cs := range marked {
+			delete(c.spanned, cs.Instr)
 		}
 	}
 

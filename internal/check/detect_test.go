@@ -7,6 +7,7 @@ import (
 	"chow88/internal/core"
 	"chow88/internal/front"
 	"chow88/internal/mach"
+	"chow88/internal/regalloc"
 )
 
 // planFor compiles one corpus program under ModeC and returns its plan.
@@ -144,4 +145,36 @@ func TestDetectsMissingPlan(t *testing.T) {
 	if !hasRule(Plan(pp), RuleMissingPlan) {
 		t.Errorf("deleted %s's plan; expected %s", fp.F.Name, RuleMissingPlan)
 	}
+}
+
+func TestDetectsUnsavedLiveRange(t *testing.T) {
+	pp := planFor(t)
+	c := &checker{pp: pp, cfg: pp.Mode.Config, summaryOf: SummariesOf(pp)}
+	for _, f := range pp.Module.Funcs {
+		fp := pp.Funcs[f]
+		if fp == nil {
+			continue
+		}
+		for id, rng := range fp.Alloc.Ranges {
+			if rng == nil || id >= len(fp.Alloc.Locs) || fp.Alloc.Locs[id].Kind != regalloc.LocReg {
+				continue
+			}
+			reg := fp.Alloc.Locs[id].Reg
+			for i, cs := range rng.Calls {
+				if !c.derivedClobber(cs.Instr).Has(reg) {
+					continue
+				}
+				// Forget that the range spans this call: code generation
+				// would no longer save reg around it.
+				rng.Calls = append(rng.Calls[:i:i], rng.Calls[i+1:]...)
+				viols := Plan(pp)
+				if !hasRule(viols, RuleUnsavedLiveRange) {
+					t.Fatalf("dropped a %s-clobbering call from %s's temp %d; expected %s, got %v",
+						reg, f.Name, id, RuleUnsavedLiveRange, viols)
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("no live range in a register spans a call that clobbers it")
 }
