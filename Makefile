@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchjson ci fmt-check vet chaos incr sim inline chowd sweep mem opt plan paper fuzz trace clean
+.PHONY: all build test race bench benchjson ci fmt-check vet chaos incr sim inline chowd sweep mem opt plan paper entry fuzz trace clean
 
 all: build
 
@@ -144,6 +144,16 @@ plan:
 paper:
 	$(GO) test -run 'TestExperimentsGolden' -count=1 -v ./
 
+# Entry-point gate: outside internal/pipeline no code runs a compile's
+# stages (front end, codegen.Generate/EmitFuncs, pipeline.Build*, incr.Load)
+# or opens a compile span; a first CompileIncremental journals and emits
+# exactly what Compile does (one codegen pass); and chowd's incremental
+# endpoint, including a failed statefile save (see DESIGN.md §19). Also
+# exercised by plain `make test`; this target runs the slice alone.
+entry:
+	$(GO) test -run 'TestOneCompileEntryPoint|TestCompileIncrementalEmitsOnce' -count=1 -v ./
+	$(GO) test -run 'TestIncremental' -count=1 -v ./internal/daemon
+
 # Longer fuzzing session for the front-end containment, differential
 # compile and daemon request-decoder targets. FUZZTIME can be raised for
 # overnight runs.
@@ -163,14 +173,16 @@ fuzz:
 # the liveness differential and the optimized-IR goldens), the planner gate
 # (dataflow, liveness, regalloc, core and check tests, the dominator/loop
 # differential, the call-cost equivalence test and a planner benchmark
-# smoke), the paper-metric golden (the full experiments output), a
+# smoke), the paper-metric golden (the full experiments output), the
+# entry-point gate (the single-entry guard, the incremental emit-once
+# parity test and the daemon's incremental tests), a
 # one-iteration smoke of the compile,
 # incremental, simulator (fast and reference engines), inliner,
 # daemon-saturation and convention benchmarks (via benchjson, which also
 # refreshes the $(BENCH) trajectory snapshot), the obs- and explain-disabled
 # zero-allocation checks, and a short smoke of the fuzz targets (seed
 # corpus + a few seconds of mutation).
-ci: fmt-check vet build race incr sim inline chowd sweep mem opt plan paper benchjson
+ci: fmt-check vet build race incr sim inline chowd sweep mem opt plan paper entry benchjson
 	$(GO) test -run '^$$' -bench 'BenchmarkObsDisabled' -benchtime 1x ./internal/obs
 	$(GO) test -run '^$$' -bench 'BenchmarkExplainDisabled' -benchtime 1x ./internal/explain
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./

@@ -323,7 +323,7 @@ func BenchmarkCompileCodegen(b *testing.B) {
 		plan := core.PlanModule(master, mode)
 		b.Run(p.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := codegen.Generate(plan); err != nil {
+				if _, _, err := codegen.Generate(plan); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -30,7 +30,6 @@ import (
 
 	"chow88/internal/core"
 	"chow88/internal/explain"
-	"chow88/internal/incr"
 	"chow88/internal/interp"
 	"chow88/internal/ir"
 	"chow88/internal/mcode"
@@ -100,17 +99,19 @@ type Program struct {
 // the affected call-graph slice replanned, with the interventions recorded
 // on Program.Demotions. mode.Strict turns any such repair into an error.
 //
-// Compile, CompileCtx, CompileProfiled and CompileInlined all run through
-// pipeline.Compile / pipeline.CompileProfiled, the one entry that owns the
-// compile span, its report window and the front-cache policy.
+// Compile, CompileCtx, CompileProfiled, CompileInlined and
+// CompileIncremental all run through internal/pipeline's entry
+// (pipeline.Compile, CompileProfiled and CompileIncremental), which owns
+// the compile span, its report window, the front-cache policy and, for
+// incremental builds, the statefile load and save.
 func Compile(src string, mode Mode) (*Program, error) {
 	return CompileCtx(context.Background(), src, mode)
 }
 
 // CompileCtx is Compile with a cancellation/deadline context threaded
-// through the validated pipeline (checked at stage boundaries; see
-// pipeline.BuildCtx). It is the primitive the chowd daemon's per-request
-// deadlines are built on. A nil ctx means Background.
+// through the validated pipeline (checked at stage boundaries). It is the
+// primitive the chowd daemon's per-request deadlines are built on. A nil
+// ctx means Background.
 func CompileCtx(ctx context.Context, src string, mode Mode) (*Program, error) {
 	c, err := pipeline.Compile(ctx, src, mode, "Compile")
 	if err != nil {
@@ -146,7 +147,9 @@ func attachExplain(p *Program) {
 // Compile. A missing, corrupt, version-skewed or mode-mismatched
 // statefile (or any internal surprise on the incremental path) degrades
 // to a full recompile, never to a wrong program. The statefile is
-// rewritten to describe the new build when possible.
+// rewritten to describe the new build when possible; a failed save only
+// costs the next compile its head start. One pipeline.CompileIncremental
+// call does the load, the build and the save.
 func CompileIncremental(src string, mode Mode, statePath string) (*Program, error) {
 	return CompileIncrementalCtx(context.Background(), src, mode, statePath)
 }
@@ -154,29 +157,13 @@ func CompileIncremental(src string, mode Mode, statePath string) (*Program, erro
 // CompileIncrementalCtx is CompileIncremental with a cancellation/deadline
 // context (see CompileCtx). A nil ctx means Background.
 func CompileIncrementalCtx(ctx context.Context, src string, mode Mode, statePath string) (*Program, error) {
-	s := obs.Current()
-	snap := s.Snap()
-	var sp obs.Span
-	if s != nil {
-		sp = s.Span(obs.PhaseCompile, "CompileIncremental "+mode.Name)
-	}
-	st, _ := incr.Load(statePath) // any load failure means "no previous state"
-	res, err := pipeline.BuildIncrementalCtx(ctx, src, mode, st)
-	sp.End()
+	c, err := pipeline.CompileIncremental(ctx, src, mode, statePath, "CompileIncremental")
 	if err != nil {
 		return nil, err
 	}
-	if res.State != nil {
-		// A failed save only costs the next round its head start.
-		_ = res.State.Save(statePath)
-	}
-	c := &pipeline.Compiled{Plan: res.Plan, Code: res.Prog, Demotions: res.Demotions}
-	if s != nil {
-		c.Report = &obs.CompileReport{Report: *s.ReportSince(snap), Demotions: res.Demotions}
-	}
 	// On the incremental path the journal covers only the replanned
 	// frontier: reused plans and code were never re-decided this round.
-	return newProgram(mode, c), nil
+	return newProgram(mode, &c.Compiled), nil
 }
 
 // RunResult is the outcome of executing a compiled program.

@@ -2,7 +2,8 @@
 // driver: -O2 selects intra-procedural priority-based coloring, -O3 adds
 // one-pass inter-procedural allocation, and -shrinkwrap toggles optimized
 // save/restore placement. The result can be disassembled, executed, or
-// inspected (call graph, allocation plan, per-function summaries).
+// inspected (call graph, allocation plan, per-function summaries), or run
+// under all six measurement modes side by side (-compare).
 //
 // Usage:
 //
@@ -18,6 +19,10 @@
 //	                 (overrides -regs; incoherent specs are rejected with
 //	                 their named reason and exit code 12)
 //	-run             execute and print the program output and trace stats
+//	-compare         compile and run under all six measurement modes (base,
+//	                 A–E; the mode flags are ignored) and print one row of
+//	                 trace stats per mode: cycles, scalar loads+stores,
+//	                 save/restore, aggregate traffic and calls
 //	-engine=fast     simulator engine for -run: fast (predecoded block
 //	                 dispatch, the default) or reference (per-instruction
 //	                 oracle); unknown names are rejected with exit code 10
@@ -75,6 +80,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -85,6 +91,7 @@ import (
 	"chow88/internal/inline"
 	"chow88/internal/ir"
 	"chow88/internal/mach"
+	"chow88/internal/mcode"
 	"chow88/internal/obs"
 	"chow88/internal/pixie"
 	"chow88/internal/sim"
@@ -147,6 +154,7 @@ func main() {
 	regs := flag.String("regs", "full", "register configuration: full, caller7, callee7")
 	conv := flag.String("conv", "", "explicit register convention spec (overrides -regs), e.g. caller=v1,a0-a3,t0-t9;callee=s0-s8;params=a0-a3")
 	doRun := flag.Bool("run", false, "execute the program on the simulator")
+	compare := flag.Bool("compare", false, "run under all six measurement modes and print their stats side by side")
 	engine := flag.String("engine", "", "simulator engine for -run: fast (default), reference")
 	doAsm := flag.Bool("S", false, "print disassembly")
 	doIR := flag.Bool("ir", false, "print optimized IR")
@@ -191,6 +199,12 @@ func main() {
 			fatal(err)
 		}
 		units = append(units, string(b))
+	}
+	if *compare {
+		if err := compareModes(os.Stdout, units); err != nil {
+			fatal(err)
+		}
+		return
 	}
 
 	mode := core.ModeBase()
@@ -293,6 +307,31 @@ func main() {
 	if *traceOut != "" {
 		writeTrace(*traceOut)
 	}
+}
+
+// compareModes compiles and runs the linked units under each of the six
+// measurement modes, printing one row of trace statistics per mode.
+func compareModes(w io.Writer, units []string) error {
+	fmt.Fprintf(w, "%-14s %12s %10s %10s %10s %8s\n",
+		"mode", "cycles", "scalar l+s", "save/rest", "aggregate", "calls")
+	for _, m := range []chow88.Mode{
+		chow88.ModeBase(), chow88.ModeA(), chow88.ModeB(),
+		chow88.ModeC(), chow88.ModeD(), chow88.ModeE(),
+	} {
+		prog, err := chow88.CompileUnits(m, units...)
+		if err != nil {
+			return fmt.Errorf("[%s] %w", m.Name, err)
+		}
+		res, err := prog.Run()
+		if err != nil {
+			return fmt.Errorf("[%s] %w", m.Name, err)
+		}
+		st := res.Stats
+		agg := st.LoadsByClass[mcode.ClassAggregate] + st.StoresByClass[mcode.ClassAggregate]
+		fmt.Fprintf(w, "%-14s %12d %10d %10d %10d %8d\n",
+			m.Name, st.Cycles, st.ScalarLS(), st.SaveRestoreLS(), agg, st.Calls)
+	}
+	return nil
 }
 
 // writeJSON emits the whole run — mode, program output, trace stats and the

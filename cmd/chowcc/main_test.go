@@ -4,13 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"chow88"
+	"chow88/internal/benchprog"
 	"chow88/internal/codegen"
 	"chow88/internal/front"
 	"chow88/internal/inline"
 	"chow88/internal/mach"
+	"chow88/internal/mcode"
 	"chow88/internal/pipeline"
 	"chow88/internal/sim"
 )
@@ -84,5 +88,37 @@ func TestInlineFlag(t *testing.T) {
 	}
 	if !(&inlineFlag{}).IsBoolFlag() {
 		t.Error("inlineFlag must be bool-like so bare -inline parses")
+	}
+}
+
+// TestCompareModes checks every -compare row against chow88.Compile and
+// Run of the same suite program under that row's mode, in the mode order
+// base, A–E.
+func TestCompareModes(t *testing.T) {
+	src := benchprog.Lookup("dhrystone").Source
+	var out strings.Builder
+	if err := compareModes(&out, []string{src}); err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	modes := []chow88.Mode{chow88.ModeBase(), chow88.ModeA(), chow88.ModeB(), chow88.ModeC(), chow88.ModeD(), chow88.ModeE()}
+	if len(rows) != 1+len(modes) {
+		t.Fatalf("got %d lines, want a header and %d rows:\n%s", len(rows), len(modes), out.String())
+	}
+	for i, m := range modes {
+		prog, err := chow88.Compile(src, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := prog.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		agg := st.LoadsByClass[mcode.ClassAggregate] + st.StoresByClass[mcode.ClassAggregate]
+		want := []string{m.Name, fmt.Sprint(st.Cycles), fmt.Sprint(st.ScalarLS()), fmt.Sprint(st.SaveRestoreLS()), fmt.Sprint(agg), fmt.Sprint(st.Calls)}
+		if got := strings.Fields(rows[1+i]); !reflect.DeepEqual(got, want) {
+			t.Errorf("row %d = %q, want %q", 1+i, got, want)
+		}
 	}
 }

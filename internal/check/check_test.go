@@ -31,7 +31,7 @@ func TestCleanCorpus(t *testing.T) {
 				for _, v := range Plan(pp) {
 					t.Errorf("plan: %s", v)
 				}
-				prog, err := codegen.Generate(pp)
+				prog, _, err := codegen.Generate(pp)
 				if err != nil {
 					t.Fatalf("codegen: %v", err)
 				}

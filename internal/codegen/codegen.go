@@ -25,17 +25,20 @@ import (
 
 // Generate produces a linked program image from the allocation plan: each
 // function's body is emitted from its own (now frozen) plan and the oracle,
-// then the bodies are linked in module order.
-func Generate(pp *core.ProgramPlan) (*mcode.Program, error) {
+// then the bodies are linked in module order. It also returns the
+// relocatable bodies the image was linked from (EmitFuncs' slice, which
+// Link does not modify), so a caller can keep them without emitting twice.
+func Generate(pp *core.ProgramPlan) (*mcode.Program, []*FuncCode, error) {
 	// Placement decisions journal at emission time; the degradation loop may
 	// generate several times per compile, and only the last generation's
 	// placements describe the shipped program, so earlier ones are dropped.
 	explain.Current().DropPlacements()
 	codes, err := EmitFuncs(pp)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return Link(pp.Module, codes)
+	prog, err := Link(pp.Module, codes)
+	return prog, codes, err
 }
 
 // FuncCode is one function's emitted body as a relocatable artifact:

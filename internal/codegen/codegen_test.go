@@ -33,7 +33,7 @@ func compile(t *testing.T, src string, mode core.Mode) *mcode.Program {
 		opt.Run(mod)
 	}
 	plan := core.PlanModule(mod, mode)
-	prog, err := Generate(plan)
+	prog, _, err := Generate(plan)
 	if err != nil {
 		t.Fatalf("codegen: %v", err)
 	}

@@ -98,7 +98,7 @@ func ModeE() Mode {
 // ModeConv is mode C (the paper's best: -O3 + shrink-wrap) under an
 // arbitrary register convention — the mode every swept or hand-specified
 // convention compiles under. The configuration is not validated here;
-// pipeline.Build validates the mode's Config before planning so an
+// the pipeline validates the mode's Config before planning so an
 // incoherent convention fails with its named reason instead of
 // miscompiling.
 func ModeConv(cfg *mach.Config) Mode {

@@ -27,9 +27,7 @@ package daemon
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"net"
 	"net/http"
 	"os"
@@ -40,7 +38,6 @@ import (
 
 	"chow88/internal/classify"
 	"chow88/internal/faultinject"
-	"chow88/internal/incr"
 	"chow88/internal/mcode"
 	"chow88/internal/obs"
 	"chow88/internal/pipeline"
@@ -403,19 +400,17 @@ func deadlineResponse(err error) *Response {
 }
 
 // compile is the shared compile step: pipeline.Compile (cached front end
-// plus the validated pipeline) under ctx's deadline. The span is the
-// server's own, on its session; the compile takes no report window of its
-// own, since concurrent workers share the session. On success it fills a
-// response with the compile-shaped fields and also returns the machine code
-// for endpoints that go on to execute it.
+// plus the validated pipeline) under ctx's deadline, spanned as "daemon
+// compile <mode>" on the server's session (the current one). The compile's
+// report is ignored: concurrent workers share the session. On success it
+// fills a response with the compile-shaped fields and also returns the
+// machine code for endpoints that go on to execute it.
 func (s *Server) compile(ctx context.Context, req *Request) (*Response, *mcode.Program, int, *Response) {
 	mode, rerr := req.Mode()
 	if rerr != nil { // unreachable: DecodeRequest validated; defense in depth
 		return nil, nil, rerr.Status, reqErrorResponse(rerr)
 	}
-	sp := s.obs.Span(obs.PhaseCompile, "daemon compile "+mode.Name)
-	defer sp.End()
-	c, err := pipeline.Compile(ctx, req.Source, mode, "")
+	c, err := pipeline.Compile(ctx, req.Source, mode, "daemon compile")
 	if err != nil {
 		status, resp := errorResponse(err)
 		return nil, nil, status, resp
@@ -483,32 +478,24 @@ func (s *Server) incrementalWork(ctx context.Context, req *Request) (int, *Respo
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 
-	sp := s.obs.Span(obs.PhaseCompile, "daemon compile-incremental "+mode.Name)
-	defer sp.End()
-	st, lerr := incr.Load(cs.path)
-	res, err := pipeline.BuildIncrementalCtx(ctx, req.Source, mode, st)
+	c, err := pipeline.CompileIncremental(ctx, req.Source, mode, cs.path, "daemon compile-incremental")
 	if err != nil {
 		return errorResponse(err)
 	}
-	if res.State != nil {
-		if serr := res.State.Save(cs.path); serr != nil {
-			// Non-fatal: the next round pays a full rebuild. A locked
-			// statefile here would be a daemon bug (cs.mu serializes
-			// writers), so surface it in metrics either way.
-			s.obs.AddLabeled("daemon.state_save_errors", 1)
-		}
+	if c.SaveErr != nil {
+		// Non-fatal: the next round pays a full rebuild. A locked
+		// statefile here would be a daemon bug (cs.mu serializes
+		// writers), so surface it in metrics either way.
+		s.obs.AddLabeled("daemon.state_save_errors", 1)
 	}
-	resp := &Response{OK: true, Mode: mode.Name, Funcs: len(res.Plan.Funcs), CodeWords: len(res.Prog.Code),
-		Incremental: res.Incremental, FallbackReason: res.FallbackReason,
-		Reused: res.Reused, Replanned: res.Replanned}
-	for _, d := range res.Demotions {
+	resp := &Response{OK: true, Mode: mode.Name, Funcs: len(c.Plan.Funcs), CodeWords: len(c.Code.Code),
+		Incremental: c.Incremental, FallbackReason: c.FallbackReason,
+		Reused: c.Reused, Replanned: c.Replanned}
+	for _, d := range c.Demotions {
 		resp.Demotions = append(resp.Demotions, d.String())
 	}
-	if lerr != nil && !errors.Is(lerr, fs.ErrNotExist) && !res.Incremental {
-		resp.FallbackReason = "statefile rejected: " + lerr.Error()
-	}
 	if req.Disasm {
-		resp.Disasm = res.Prog.Disassemble()
+		resp.Disasm = c.Code.Disassemble()
 	}
 	return http.StatusOK, resp
 }

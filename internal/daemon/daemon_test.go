@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -270,6 +271,31 @@ func TestIncremental(t *testing.T) {
 	_, _, metrics := getStatus(t, ts.URL+"/metrics")
 	if !strings.Contains(string(metrics), "daemon.state_evictions") {
 		t.Errorf("metrics missing state eviction counter:\n%s", metrics)
+	}
+}
+
+// TestIncrementalSaveFailure puts a directory at a client's statefile
+// path, so every load is rejected and every save fails (a read-only
+// directory would not stop root). Each request must still answer 200 with
+// a full rebuild, and each failed save must count in
+// daemon.state_save_errors.
+func TestIncrementalSaveFailure(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	if err := os.Mkdir(s.states.statePath("dana"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 2; round++ {
+		status, _, r := postJSON(t, ts.URL+"/compile-incremental", reqBody(t, Request{Source: fibSrc, Client: "dana"}))
+		if status != 200 || !r.OK || r.Incremental {
+			t.Fatalf("round %d: status %d, resp %+v; want a 200 full rebuild", round, status, r)
+		}
+		if !strings.Contains(r.FallbackReason, "statefile rejected") {
+			t.Errorf("round %d: fallback reason %q, want statefile rejection", round, r.FallbackReason)
+		}
+		_, _, metrics := getStatus(t, ts.URL+"/metrics")
+		if want := fmt.Sprintf("daemon.state_save_errors %d\n", round); !strings.Contains(string(metrics), want) {
+			t.Errorf("round %d: /metrics lacks %q:\n%s", round, want, metrics)
+		}
 	}
 }
 

@@ -281,9 +281,3 @@ func DetailRow(m *Measurement, key string) string {
 func irModuleFor(src string) (*ir.Module, error) {
 	return front.Module(src, true, true)
 }
-
-// irModuleNoOpt lowers src without running the optimizer, preserving named
-// variables for the allocation demonstrations.
-func irModuleNoOpt(src string) (*ir.Module, error) {
-	return front.Module(src, false, true)
-}

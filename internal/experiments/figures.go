@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
-	"chow88/internal/codegen"
 	"chow88/internal/core"
 	"chow88/internal/mach"
+	"chow88/internal/pipeline"
 	"chow88/internal/regalloc"
 	"chow88/internal/sim"
 )
@@ -47,15 +48,18 @@ func main() {
 
 // Fig1 reports where a, b and c live under inter-procedural allocation and
 // the register footprint of the whole three-deep call tree. The optimizer
-// is left off so the named variables survive into allocation. The Fig. 1
-// point: because no usage range spans a call, the simultaneously active
-// procedures share a handful of registers with no saving and restoring.
+// is left off so the named variables survive into allocation; the build is
+// otherwise mode C's, validator included. The Fig. 1 point: because no
+// usage range spans a call, the simultaneously active procedures share a
+// handful of registers with no saving and restoring.
 func Fig1() (string, error) {
-	mod, err := irModuleNoOpt(fig1Src)
+	mode := core.ModeC()
+	mode.Optimize = false
+	c, err := pipeline.Compile(context.Background(), fig1Src, mode, "")
 	if err != nil {
 		return "", err
 	}
-	plan := core.PlanModule(mod, core.ModeC())
+	plan, mod := c.Plan, c.Plan.Module
 	var b strings.Builder
 	b.WriteString("Figure 1: register reuse in simultaneously active procedures\n\n")
 	vars := map[string]string{"p": "a", "q": "b", "r": "c"}
@@ -82,11 +86,7 @@ func Fig1() (string, error) {
 
 	// Execute and count register save/restore traffic: the point of Fig. 1
 	// is that sharing happens without any.
-	code, err := codegen.Generate(plan)
-	if err != nil {
-		return "", err
-	}
-	res, err := sim.Run(code, sim.Options{})
+	res, err := sim.Run(c.Code, sim.Options{})
 	if err != nil {
 		return "", err
 	}

@@ -187,9 +187,10 @@ func ModeFingerprint(mode core.Mode) string {
 }
 
 // Capture builds the state of a finished full build: src must be the
-// source pp was compiled from. Code artifacts are re-emitted from the
-// final plans (deterministic, and cheap next to the build itself).
-func Capture(src string, mode core.Mode, pp *core.ProgramPlan) (*State, error) {
+// source pp was compiled from, and codes the relocatable bodies the build
+// emitted from pp's final plans (codegen.Generate's slice, one per
+// pp.Module function), kept as the code artifacts.
+func Capture(src string, mode core.Mode, pp *core.ProgramPlan, codes []*codegen.FuncCode) (*State, error) {
 	chunks, err := front.ChunkSource(src)
 	if err != nil {
 		return nil, err
@@ -197,10 +198,6 @@ func Capture(src string, mode core.Mode, pp *core.ProgramPlan) (*State, error) {
 	byName := make(map[string]front.Chunk, len(chunks))
 	for _, c := range chunks {
 		byName[c.Name] = c
-	}
-	codes, err := codegen.EmitFuncs(pp)
-	if err != nil {
-		return nil, err
 	}
 	st := &State{ModeFP: ModeFingerprint(mode), GlobalsFP: globalsFingerprint(chunks)}
 	for i, f := range pp.Module.Funcs {

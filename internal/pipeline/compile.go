@@ -2,11 +2,15 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 
+	"chow88/internal/codegen"
 	"chow88/internal/core"
 	"chow88/internal/explain"
 	"chow88/internal/front"
+	"chow88/internal/incr"
 	"chow88/internal/ir"
 	"chow88/internal/mcode"
 	"chow88/internal/obs"
@@ -25,6 +29,26 @@ type Compiled struct {
 	// window on Training when the compile trained); nil unless an obs
 	// session is active and the compile was labeled.
 	Report *obs.CompileReport
+	// codes are the relocatable bodies Code was linked from, one per
+	// Plan.Module function (nil for externs), kept for incr.Capture. Only
+	// a full build sets them.
+	codes []*codegen.FuncCode
+}
+
+// IncrementalCompiled is CompileIncremental's outcome: the build, and how
+// the statefile served it.
+type IncrementalCompiled struct {
+	Compiled
+	// Incremental reports whether the incremental path was taken;
+	// FallbackReason explains a full rebuild, empty otherwise.
+	Incremental    bool
+	FallbackReason string
+	// Replanned/Reused count defined functions on the incremental path.
+	Replanned, Reused int
+	// SaveErr is the statefile save's failure, nil when the save succeeded
+	// or the build captured no state. A failed save only costs the next
+	// round its head start.
+	SaveErr error
 }
 
 // Profile is a training run: the training build's code image and its
@@ -37,7 +61,8 @@ type Profile struct {
 }
 
 // Compile is the one front→back sequence: the front end through the
-// source-keyed cache (bypassed under mode.Sequential), then BuildCtx.
+// source-keyed cache (bypassed under mode.Sequential), then the validated
+// back end (see buildModule).
 //
 // A non-empty label names the compile on the active obs session: the whole
 // compile runs inside a PhaseCompile span "<label> <mode.Name>", and
@@ -72,18 +97,70 @@ func Train(src string, mode core.Mode) (*Profile, error) {
 	return train(mod, mode)
 }
 
-func compile(ctx context.Context, src string, mode core.Mode, label string, profiled bool, prof *Profile) (*Compiled, error) {
-	var s *obs.Session
+// CompileIncremental is Compile through the statefile at statePath: it
+// loads the previous build's state, rebuilds src incrementally when that
+// state allows (see BuildIncremental) and fully otherwise, then saves the
+// new build's state there. A statefile that exists but does not load is
+// reported as the FallbackReason "statefile rejected: <why>". The label
+// rule is Compile's; the span covers the load, the build and the save.
+func CompileIncremental(ctx context.Context, src string, mode core.Mode, statePath, label string) (*IncrementalCompiled, error) {
+	w := openWindow(label, mode)
+	st, lerr := incr.Load(statePath) // any load failure means "no previous state"
+	res, err := buildIncremental(ctx, src, mode, st)
+	if err != nil {
+		w.sp.End()
+		return nil, err
+	}
+	out := &IncrementalCompiled{
+		Compiled:    Compiled{Plan: res.Plan, Code: res.Prog, Demotions: res.Demotions},
+		Incremental: res.Incremental, FallbackReason: res.FallbackReason,
+		Replanned: res.Replanned, Reused: res.Reused,
+	}
+	if lerr != nil && !errors.Is(lerr, fs.ErrNotExist) && !res.Incremental {
+		out.FallbackReason = "statefile rejected: " + lerr.Error()
+	}
+	if res.State != nil {
+		out.SaveErr = res.State.Save(statePath)
+	}
+	out.Report = w.close(nil, res.Demotions)
+	return out, nil
+}
+
+// window is a labeled compile's PhaseCompile span and report window on the
+// active obs session; the zero window (no label or no session) records
+// nothing.
+type window struct {
+	s    *obs.Session
+	snap obs.Snapshot
+	sp   obs.Span
+}
+
+func openWindow(label string, mode core.Mode) window {
+	var w window
 	if label != "" {
-		s = obs.Current()
+		w.s = obs.Current()
 	}
-	snap := s.Snap()
-	var sp obs.Span
-	if s != nil {
-		sp = s.Span(obs.PhaseCompile, label+" "+mode.Name)
+	w.snap = w.s.Snap()
+	if w.s != nil {
+		w.sp = w.s.Span(obs.PhaseCompile, label+" "+mode.Name)
 	}
+	return w
+}
+
+// close ends the span and returns the window's report (nil for the zero
+// window).
+func (w *window) close(training *obs.Report, demotions []obs.Demotion) *obs.CompileReport {
+	w.sp.End()
+	if w.s == nil {
+		return nil
+	}
+	return &obs.CompileReport{Report: *w.s.ReportSince(w.snap), Training: training, Demotions: demotions}
+}
+
+func compile(ctx context.Context, src string, mode core.Mode, label string, profiled bool, prof *Profile) (*Compiled, error) {
+	w := openWindow(label, mode)
 	fail := func(err error) (*Compiled, error) {
-		sp.End()
+		w.sp.End()
 		return nil, err
 	}
 	mod, err := front.Module(src, mode.Optimize, !mode.Sequential)
@@ -107,22 +184,18 @@ func compile(ctx context.Context, src string, mode core.Mode, label string, prof
 			// decisions describe the baseline throwaway, not the program
 			// being shipped.
 			explain.Current().Reset()
-			if s != nil {
-				training = s.ReportSince(snap)
-				snap = s.Snap()
+			if w.s != nil {
+				training = w.s.ReportSince(w.snap)
+				w.snap = w.s.Snap()
 			}
 		}
 	}
-	plan, code, demotions, err := BuildCtx(ctx, mod, mode)
+	c, err := buildModule(ctx, mod, mode)
 	if err != nil {
 		return fail(err)
 	}
-	sp.End()
-	out := &Compiled{Plan: plan, Code: code, Demotions: demotions}
-	if s != nil {
-		out.Report = &obs.CompileReport{Report: *s.ReportSince(snap), Training: training, Demotions: demotions}
-	}
-	return out, nil
+	c.Report = w.close(training, c.Demotions)
+	return c, nil
 }
 
 // train builds mod under the baseline mode and runs it once with the trace
@@ -134,15 +207,15 @@ func train(mod *ir.Module, mode core.Mode) (*Profile, error) {
 	tm.ForceOpen = mode.ForceOpen
 	tm.Validate = mode.Validate
 	tm.Strict = mode.Strict
-	_, code, _, err := Build(mod, tm)
+	c, err := buildModule(context.Background(), mod, tm)
 	if err != nil {
 		return nil, fmt.Errorf("training build: %w", err)
 	}
-	res, err := sim.Run(code, sim.Options{Profile: true})
+	res, err := sim.Run(c.Code, sim.Options{Profile: true})
 	if err != nil {
 		return nil, fmt.Errorf("training run: %w", err)
 	}
-	return &Profile{code: code, Run: res}, nil
+	return &Profile{code: c.Code, Run: res}, nil
 }
 
 // apply folds the profiling run's per-instruction execution counts onto mod:

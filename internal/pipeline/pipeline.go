@@ -1,8 +1,9 @@
 // Package pipeline orchestrates the validated middle/back end: register
 // allocation (core.PlanModule), the linkage-invariant validator
 // (internal/check) and code generation (internal/codegen), connected by
-// the graceful-degradation loop. Compile and CompileProfiled are the one
-// entry that runs the front end and then this back end, and the only
+// the graceful-degradation loop. Compile, CompileProfiled and
+// CompileIncremental are the one entry that runs the front end and then
+// this back end (CompileIncremental around the statefile), and the only
 // place a profile-training build and run happen.
 //
 // Per procedure the degradation ladder is:
@@ -83,11 +84,12 @@ type offender struct {
 	reason string
 }
 
-// Build plans, validates and generates code for mod. With mode.Validate
-// off it is exactly PlanModule + Generate. With it on, validation runs
-// after planning and after code generation, per-function panics are contained,
-// and offending procedures degrade per the ladder; every intervention is
-// returned as an obs.Demotion (and counted on the active obs session).
+// buildModule plans, validates and generates code for mod. With
+// mode.Validate off it is exactly PlanModule + Generate. With it on,
+// validation runs after planning and after code generation, per-function
+// panics are contained, and offending procedures degrade per the ladder;
+// every intervention is returned as an obs.Demotion (and counted on the
+// active obs session).
 //
 // With mode.Inline set, the profile-guided procedure integrator rewrites
 // mod in place first (so any profile counts attached to its blocks are
@@ -98,27 +100,23 @@ type offender struct {
 // un-inlining cannot be expressed once blocks are spliced. The returned
 // plan's Module is the module actually compiled; with a discard that is
 // the clone, not mod.
-func Build(mod *ir.Module, mode core.Mode) (*core.ProgramPlan, *mcode.Program, []obs.Demotion, error) {
-	return BuildCtx(context.Background(), mod, mode)
-}
-
-// BuildCtx is Build with a cancellation/deadline context threaded through:
-// the pipeline checks ctx at every stage boundary (before the inline pass,
-// before planning, at the top of every degradation round, before code
+//
+// ctx is checked at every stage boundary (before the inline pass, before
+// planning, at the top of every degradation round, before code
 // generation), so a canceled compile returns ctx.Err() — wrapped in
 // ErrCanceled for classification — within one stage's worth of work
 // rather than running to completion. The stages themselves are not
 // preemptible; overshoot is bounded by the longest single stage, which the
 // chowd daemon's request deadlines rely on. A nil ctx means Background.
-func BuildCtx(ctx context.Context, mod *ir.Module, mode core.Mode) (*core.ProgramPlan, *mcode.Program, []obs.Demotion, error) {
+func buildModule(ctx context.Context, mod *ir.Module, mode core.Mode) (*Compiled, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctxErr(ctx); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if err := validateMode(mode); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if !mode.Inline {
 		return build(ctx, mod, mode)
@@ -129,13 +127,13 @@ func BuildCtx(ctx context.Context, mod *ir.Module, mode core.Mode) (*core.Progra
 	}
 	pristine := ir.CloneModule(mod)
 	rep := inline.Apply(mod, budget, mode.ForceOpen)
-	pp, prog, demotions, err := build(ctx, mod, mode)
+	c, err := build(ctx, mod, mode)
 	if err == nil {
-		pp.Inline = rep
-		return pp, prog, demotions, nil
+		c.Plan.Inline = rep
+		return c, nil
 	}
 	if mode.Strict || errors.Is(err, ErrCanceled) {
-		return pp, nil, demotions, err
+		return nil, err
 	}
 	obs.Current().Add(obs.CInlineDiscards, 1)
 	if j := explain.Current(); j != nil {
@@ -147,14 +145,14 @@ func BuildCtx(ctx context.Context, mod *ir.Module, mode core.Mode) (*core.Progra
 			Detail: "inlined build failed (" + err.Error() + "); rebuilt the pristine pre-inlining module",
 		})
 	}
-	pp, prog, demotions, err2 := build(ctx, pristine, mode)
+	c, err2 := build(ctx, pristine, mode)
 	if err2 != nil {
-		return pp, nil, demotions, err2
+		return nil, err2
 	}
-	demotions = append(demotions, obs.Demotion{
+	c.Demotions = append(c.Demotions, obs.Demotion{
 		Func: "*", Phase: "inline", Action: "discard-inlining", Reason: err.Error(),
 	})
-	return pp, prog, demotions, nil
+	return c, nil
 }
 
 // ErrCanceled wraps a context cancellation or deadline expiry observed at
@@ -170,17 +168,20 @@ func ctxErr(ctx context.Context) error {
 	return nil
 }
 
-func build(ctx context.Context, mod *ir.Module, mode core.Mode) (*core.ProgramPlan, *mcode.Program, []obs.Demotion, error) {
+func build(ctx context.Context, mod *ir.Module, mode core.Mode) (*Compiled, error) {
 	if err := ctxErr(ctx); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	pp := core.PlanModule(mod, mode)
 	if !mode.Validate {
 		if err := ctxErr(ctx); err != nil {
-			return pp, nil, nil, err
+			return nil, err
 		}
-		prog, err := codegen.Generate(pp)
-		return pp, prog, nil, err
+		prog, codes, err := codegen.Generate(pp)
+		if err != nil {
+			return nil, err
+		}
+		return &Compiled{Plan: pp, Code: prog, codes: codes}, nil
 	}
 
 	s := obs.Current()
@@ -194,17 +195,18 @@ func build(ctx context.Context, mod *ir.Module, mode core.Mode) (*core.ProgramPl
 	noSW := map[*ir.Func]bool{}
 	for round := 0; round < maxRounds; round++ {
 		if err := ctxErr(ctx); err != nil {
-			return pp, nil, demotions, err
+			return nil, err
 		}
-		offs, prog, err := findOffenders(pp, byName)
+		offs, c, err := findOffenders(pp, byName)
 		if err != nil {
-			return pp, nil, demotions, err
+			return nil, err
 		}
 		if len(offs) == 0 {
-			return pp, prog, demotions, nil
+			c.Demotions = demotions
+			return c, nil
 		}
 		if mode.Strict {
-			return pp, nil, demotions, strictError(offs)
+			return nil, strictError(offs)
 		}
 		roots := make([]*ir.Func, 0, len(offs))
 		for _, o := range offs {
@@ -222,7 +224,7 @@ func build(ctx context.Context, mod *ir.Module, mode core.Mode) (*core.ProgramPl
 				action = "replan-nosw"
 				noSW[o.f] = true
 			default:
-				return pp, nil, demotions, strictError(offs)
+				return nil, strictError(offs)
 			}
 			rung[o.f]++
 			demotions = append(demotions, obs.Demotion{
@@ -237,18 +239,18 @@ func build(ctx context.Context, mod *ir.Module, mode core.Mode) (*core.ProgramPl
 			roots = append(roots, o.f)
 		}
 		if err := pp.Replan(pp.Affected(roots...), noSW); err != nil {
-			return pp, nil, demotions, err
+			return nil, err
 		}
 	}
-	return pp, nil, demotions, &ValidationError{Phase: "validate"}
+	return nil, &ValidationError{Phase: "validate"}
 }
 
 // BuildIncremental compiles src, reusing as much of the previous build —
 // described by st, from incr.Capture or a statefile — as the edit allows.
 // Unchanged functions whose callees republish byte-identical linkage keep
 // their plans and code verbatim; only the summary-delta frontier is
-// replanned and re-emitted. The output is byte-identical to Build on a
-// full front-end of src.
+// replanned and re-emitted. The output is byte-identical to a full
+// Compile of src.
 //
 // st may be nil (first build). Whenever the incremental path cannot run —
 // no state, a mode change, an edit outside the chunkable structure, any
@@ -257,14 +259,14 @@ func build(ctx context.Context, mod *ir.Module, mode core.Mode) (*core.ProgramPl
 // The returned state describes the new revision for the next round; it is
 // nil when the build degraded (demotions) or the source resists chunking.
 func BuildIncremental(src string, mode core.Mode, st *incr.State) (*IncrementalResult, error) {
-	return BuildIncrementalCtx(context.Background(), src, mode, st)
+	return buildIncremental(context.Background(), src, mode, st)
 }
 
-// BuildIncrementalCtx is BuildIncremental with a cancellation/deadline
-// context, checked at the same stage-boundary granularity as BuildCtx
+// buildIncremental is BuildIncremental with a cancellation/deadline
+// context, checked at the same stage-boundary granularity as buildModule
 // (the incremental replan itself is one stage). A nil ctx means
 // Background.
-func BuildIncrementalCtx(ctx context.Context, src string, mode core.Mode, st *incr.State) (*IncrementalResult, error) {
+func buildIncremental(ctx context.Context, src string, mode core.Mode, st *incr.State) (*IncrementalResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -318,7 +320,7 @@ type IncrementalResult struct {
 }
 
 // fullBuildIncremental is the fallback: a clean full build plus a state
-// capture for the next round.
+// capture for the next round, from the bodies the build emitted.
 func fullBuildIncremental(ctx context.Context, src string, mode core.Mode, reason string) (*IncrementalResult, error) {
 	c, err := Compile(ctx, src, mode, "")
 	if err != nil {
@@ -329,7 +331,7 @@ func fullBuildIncremental(ctx context.Context, src string, mode core.Mode, reaso
 	// of the source alone; don't let it seed future incremental rounds.
 	// Inlined builds never capture: see BuildIncremental.
 	if len(c.Demotions) == 0 && !mode.Inline {
-		if st, err := incr.Capture(src, mode, c.Plan); err == nil {
+		if st, err := incr.Capture(src, mode, c.Plan, c.codes); err == nil {
 			res.State = st
 		}
 	}
@@ -338,8 +340,8 @@ func fullBuildIncremental(ctx context.Context, src string, mode core.Mode, reaso
 
 // findOffenders runs the staged pipeline until a stage reports failures:
 // recovered planning panics, plan validation, code generation, machine-code
-// validation. A clean pass returns the linked program.
-func findOffenders(pp *core.ProgramPlan, byName map[string]*ir.Func) ([]offender, *mcode.Program, error) {
+// validation. A clean pass returns the build (without its demotions).
+func findOffenders(pp *core.ProgramPlan, byName map[string]*ir.Func) ([]offender, *Compiled, error) {
 	s := obs.Current()
 
 	// Recovered planning panics.
@@ -363,7 +365,7 @@ func findOffenders(pp *core.ProgramPlan, byName map[string]*ir.Func) ([]offender
 	}
 
 	// Code generation (recovered panics surface as *codegen.FuncError).
-	prog, err := codegen.Generate(pp)
+	prog, codes, err := codegen.Generate(pp)
 	if err != nil {
 		var fe *codegen.FuncError
 		if errors.As(err, &fe) {
@@ -381,12 +383,12 @@ func findOffenders(pp *core.ProgramPlan, byName map[string]*ir.Func) ([]offender
 	if len(viols) > 0 {
 		return violationOffenders(pp, byName, "code-check", viols)
 	}
-	return nil, prog, nil
+	return nil, &Compiled{Plan: pp, Code: prog, codes: codes}, nil
 }
 
 // violationOffenders groups violations by procedure (first rule per
 // procedure wins as the reason), in deterministic module order.
-func violationOffenders(pp *core.ProgramPlan, byName map[string]*ir.Func, phase string, viols []check.Violation) ([]offender, *mcode.Program, error) {
+func violationOffenders(pp *core.ProgramPlan, byName map[string]*ir.Func, phase string, viols []check.Violation) ([]offender, *Compiled, error) {
 	obs.Current().Add(obs.CCheckViolations, int64(len(viols)))
 	first := map[*ir.Func]string{}
 	for _, v := range viols {

@@ -26,7 +26,7 @@ func TestRunHeapAllocBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := codegen.Generate(core.PlanModule(mod, core.ModeC()))
+	p, _, err := codegen.Generate(core.PlanModule(mod, core.ModeC()))
 	if err != nil {
 		t.Fatal(err)
 	}
