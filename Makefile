@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchjson ci fmt-check vet chaos incr sim inline chowd sweep mem opt plan paper entry fuzz trace clean
+.PHONY: all build test race bench benchsmoke ci fmt-check vet chaos incr sim inline chowd sweep mem opt plan paper entry fuzz trace clean
 
 all: build
 
@@ -22,15 +22,13 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkCompile|BenchmarkSim' -benchmem ./
 
-# Benchmark trajectory snapshot: one-iteration rows for the compile,
-# simulator, inliner, daemon-saturation and convention (sweep-winner vs
-# default) benchmarks (including the paper-* and req/s-p50-p99 custom
-# metrics), converted to JSON so successive PRs accumulate comparable
-# BENCH_*.json files instead of unparsed bench text. Override the output
-# with BENCH=BENCH_N.json.
-BENCH ?= BENCH_10.json
-benchjson:
-	$(GO) test -run '^$$' -bench 'BenchmarkCompile|BenchmarkSim|BenchmarkInline|BenchmarkDaemon|BenchmarkConvention' -benchmem -benchtime 1x ./ | $(GO) run ./cmd/benchjson -o $(BENCH)
+# One-iteration smoke of the compile, simulator, inliner, daemon-saturation
+# and convention benchmarks: each row must still build and run. The rows are
+# single cold iterations, not evidence of speed (perfbench/ measures that),
+# and the paper metrics the inliner and convention rows report are pinned by
+# TestPaperMetricsGolden (make paper).
+benchsmoke:
+	$(GO) test -run '^$$' -bench 'BenchmarkCompile|BenchmarkSim|BenchmarkInline|BenchmarkDaemon|BenchmarkConvention' -benchmem -benchtime 1x ./
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -97,11 +95,12 @@ chowd:
 # mode), and the sweep smoke — a sampled convention set over a 3-program
 # workload with explain-journal attribution and byte-determinism across
 # candidate worker counts, plus the per-program profile-guided selection gate
-# (never regress vs the default convention, beat it somewhere). Also
-# exercised by plain `make test`; this target runs the slice alone.
+# (never regress vs the default convention, beat it somewhere) — and the
+# experiments binary's convention flags (-conv exit code 12, -sample/-gen).
+# Also exercised by plain `make test`; this target runs the slice alone.
 sweep:
 	$(GO) test ./internal/mach
-	$(GO) test -run 'TestConvention' ./
+	$(GO) test -run 'TestConvention|TestExperimentsConventionFlags' ./
 	$(GO) test -run 'TestSweep|TestSampleConventions|TestTune' -v ./internal/experiments
 
 # Simulator-memory gate: a run's memory is a demand-zero mapping on unix
@@ -138,11 +137,14 @@ plan:
 # Paper-metric gate: the full `experiments -all` output (Tables 1-2,
 # Figures 1-4, the height ablation, profile feedback, inlining vs IPRA, the
 # convention sweep and the tuner) must match testdata/experiments.golden
-# byte for byte. Also exercised by plain `make test`; this target runs it
-# alone. Refresh with `go test -run TestExperimentsGolden -update .` only
+# byte for byte; the per-program × mode metrics, the inline on/off, the
+# convention default-vs-winner and the height-chain rows must match
+# testdata/paper.golden; and the EXPERIMENTS.md shape checks must hold
+# (TestPaperShapes). Also exercised by plain `make test`; this target runs
+# them alone. Refresh a golden with `go test -run <its test> -update .` only
 # after an intended change to generated code.
 paper:
-	$(GO) test -run 'TestExperimentsGolden' -count=1 -v ./
+	$(GO) test -run 'TestExperimentsGolden|TestPaperMetricsGolden|TestPaperShapes' -count=1 -v ./
 
 # Entry-point gate: outside internal/pipeline no code runs a compile's
 # stages (front end, codegen.Generate/EmitFuncs, pipeline.Build*, incr.Load)
@@ -173,16 +175,15 @@ fuzz:
 # the liveness differential and the optimized-IR goldens), the planner gate
 # (dataflow, liveness, regalloc, core and check tests, the dominator/loop
 # differential, the call-cost equivalence test and a planner benchmark
-# smoke), the paper-metric golden (the full experiments output), the
-# entry-point gate (the single-entry guard, the incremental emit-once
-# parity test and the daemon's incremental tests), a
-# one-iteration smoke of the compile,
+# smoke), the paper-metric gate (the full experiments output, the paper
+# metrics golden and the shape assertions), the entry-point gate (the
+# single-entry guard, the incremental emit-once parity test and the
+# daemon's incremental tests), a one-iteration smoke of the compile,
 # incremental, simulator (fast and reference engines), inliner,
-# daemon-saturation and convention benchmarks (via benchjson, which also
-# refreshes the $(BENCH) trajectory snapshot), the obs- and explain-disabled
-# zero-allocation checks, and a short smoke of the fuzz targets (seed
-# corpus + a few seconds of mutation).
-ci: fmt-check vet build race incr sim inline chowd sweep mem opt plan paper entry benchjson
+# daemon-saturation and convention benchmarks (benchsmoke), the obs- and
+# explain-disabled zero-allocation checks, and a short smoke of the fuzz
+# targets (seed corpus + a few seconds of mutation).
+ci: fmt-check vet build race incr sim inline chowd sweep mem opt plan paper entry benchsmoke
 	$(GO) test -run '^$$' -bench 'BenchmarkObsDisabled' -benchtime 1x ./internal/obs
 	$(GO) test -run '^$$' -bench 'BenchmarkExplainDisabled' -benchtime 1x ./internal/explain
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./

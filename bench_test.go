@@ -24,6 +24,11 @@ import (
 //	paper-scalarLS      scalar loads+stores     (column II input)
 //	paper-saverestore   the save/restore component
 //	paper-cyc/call      call intensity (Table 1's cycles/call column)
+//
+// The metrics are deterministic, so they are pinned where a test can fail
+// on them: testdata/paper.golden (TestPaperMetricsGolden). `make
+// benchsmoke` runs the compile, simulator, inliner, daemon and convention
+// rows once each as a smoke; speed is measured by perfbench/, not here.
 
 func benchProgram(b *testing.B, src string, mode Mode) {
 	b.Helper()
@@ -385,11 +390,10 @@ func BenchmarkHeightSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkConvention snapshots the calling-convention auto-tuner's
-// headline into the benchjson trajectory: a sampled sweep over a 3-program
-// workload selects a winner, and the default convention and that winner are
-// then measured side by side so successive BENCH_*.json files show whether
-// the swept partition keeps its edge as the compiler evolves.
+// BenchmarkConvention measures the calling-convention auto-tuner's
+// headline: a sampled sweep over a 3-program workload selects a winner, and
+// the default convention and that winner are then compiled and run side by
+// side. TestPaperMetricsGolden pins both rows' metrics.
 func BenchmarkConvention(b *testing.B) {
 	var wl []experiments.Workload
 	for _, p := range benchprog.All()[:3] {

@@ -6,6 +6,19 @@
 //
 //	experiments [-table1] [-table2] [-fig1] [-fig2] [-fig3] [-fig4]
 //	            [-height] [-profile] [-inline] [-sweep] [-tune] [-all]
+//	            [-sample n] [-gen n] [-conv spec]...
+//
+// The sweep and the tuner explore the calling-convention design space the
+// paper fixes by fiat: candidate partitions of the 20 allocatable registers
+// into caller-saved and callee-saved classes (with 0–6 parameter registers).
+// -sample bounds the candidates to a deterministic spread of the full
+// enumeration (0 takes all of it; unset, the sweep samples 24 and the tuner
+// 16); -conv (repeatable) adds explicit specs such as
+// "caller=v1,t0-t9;callee=a0-a3,s0-s8;params=a0-a3"; -gen sets the
+// synthetic programs the sweep adds to the 13-program suite.
+//
+// Failures exit with chowcc's classified codes: a malformed or incoherent
+// -conv spec exits with the bad-convention code (12).
 package main
 
 import (
@@ -13,7 +26,9 @@ import (
 	"fmt"
 	"os"
 
+	"chow88"
 	"chow88/internal/experiments"
+	"chow88/internal/mach"
 	"chow88/internal/obs"
 )
 
@@ -27,21 +42,49 @@ func main() {
 	height := flag.Bool("height", false, "run the call-graph-height ablation (D vs E crossover)")
 	profile := flag.Bool("profile", false, "measure profile feedback vs static frequency estimates")
 	inl := flag.Bool("inline", false, "measure profile-guided inlining vs IPRA with pixie attribution")
-	sweep := flag.Bool("sweep", false, "sweep sampled calling conventions over the suite (chowtune has the full controls)")
-	tune := flag.Bool("tune", false, "profile-guided per-program convention selection over a sampled candidate set")
+	sweep := flag.Bool("sweep", false, "sweep calling conventions over the suite plus synthetic programs")
+	tune := flag.Bool("tune", false, "profile-guided per-program convention selection")
+	sample := flag.Int("sample", -1, "candidate conventions sampled from the enumeration (0 = all; unset = 24 for -sweep, 16 for -tune)")
+	gen := flag.Int("gen", 4, "synthetic progen programs added to the -sweep workload")
+	// -conv repeats rather than taking a list: specs contain commas. Specs
+	// are parsed after flag.Parse so a bad one exits with the
+	// bad-convention code, not the flag package's usage code.
+	var conv []string
+	flag.Func("conv", "convention spec added to the -sweep and -tune candidates (repeatable)", func(s string) error {
+		conv = append(conv, s)
+		return nil
+	})
 	all := flag.Bool("all", false, "run everything")
 	stats := flag.Bool("stats", false, "collect and print per-measurement compile/run metrics")
 	flag.Parse()
+
+	fail := func(err error) {
+		code, _ := chow88.ClassifyError(err)
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(code)
+	}
+	var extra []*mach.Config
+	for _, s := range conv {
+		c, err := mach.ParseConvention(s)
+		if err != nil {
+			fail(err)
+		}
+		extra = append(extra, c)
+	}
+	// candidates is the sampled enumeration plus the -conv specs; def is
+	// the sample size when -sample is unset.
+	candidates := func(def int) []*mach.Config {
+		if *sample >= 0 {
+			def = *sample
+		}
+		return append(experiments.SampleConventions(def), extra...)
+	}
 
 	if !(*t1 || *t2 || *f1 || *f2 || *f3 || *f4 || *height || *profile || *inl || *sweep || *tune) {
 		*all = true
 	}
 	if *stats {
 		obs.Begin(obs.Options{})
-	}
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
 	}
 	if *all || *t1 {
 		rows, err := experiments.Table1()
@@ -84,18 +127,18 @@ func main() {
 		{*all || *profile, experiments.ProfileFeedback},
 		{*all || *inl, experiments.InlineVsIPRA},
 		{*all || *sweep, func() (string, error) {
-			wl, err := experiments.SweepWorkload(4)
+			wl, err := experiments.SweepWorkload(*gen)
 			if err != nil {
 				return "", err
 			}
-			rep, err := experiments.Sweep(experiments.SampleConventions(24), wl, 0)
+			rep, err := experiments.Sweep(candidates(24), wl, 0)
 			if err != nil {
 				return "", err
 			}
 			return experiments.FormatSweep(rep), nil
 		}},
 		{*all || *tune, func() (string, error) {
-			rows, err := experiments.Tune(experiments.SampleConventions(16), 0)
+			rows, err := experiments.Tune(candidates(16), 0)
 			if err != nil {
 				return "", err
 			}

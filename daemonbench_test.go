@@ -15,8 +15,9 @@ import (
 // healthy clients against worker pools of increasing size, reporting
 // throughput and tail latency as custom metrics (req/s, p50-ms, p99-ms).
 // Comparing the workers=1/2/4 rows shows how far the daemon's admission
-// and worker-pool design scales before queueing dominates; `make
-// benchjson` snapshots the rows into the BENCH_*.json trajectory.
+// and worker-pool design scales before queueing dominates. `make
+// benchsmoke` runs each row once; perfbench's serve workload is the
+// daemon's measurement of record.
 func BenchmarkDaemonSaturation(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -486,7 +486,7 @@ func (s *Server) incrementalWork(ctx context.Context, req *Request) (int, *Respo
 		// Non-fatal: the next round pays a full rebuild. A locked
 		// statefile here would be a daemon bug (cs.mu serializes
 		// writers), so surface it in metrics either way.
-		s.obs.AddLabeled("daemon.state_save_errors", 1)
+		s.obs.Add(obs.CDaemonStateSaveErrors, 1)
 	}
 	resp := &Response{OK: true, Mode: mode.Name, Funcs: len(c.Plan.Funcs), CodeWords: len(c.Code.Code),
 		Incremental: c.Incremental, FallbackReason: c.FallbackReason,

@@ -16,9 +16,8 @@
 //     holds that path to zero allocations.
 //   - Counters and gauges are fixed enums indexed into arrays of
 //     atomic.Int64, so concurrent compiles and runs sharing one session
-//     (chowd's request workers) record without locks. Dynamically-named
-//     ("labeled") counters exist for cold paths only (per-superinstruction
-//     hit counts, published once per run).
+//     (chowd's request workers) record without locks, and a Snapshot is a
+//     fixed-size value that costs no allocation to take.
 package obs
 
 import (
@@ -98,6 +97,7 @@ const (
 	CDaemonPanics
 	CDaemonStateEvictions
 	CDaemonDrainRefusals
+	CDaemonStateSaveErrors
 
 	NumCounters
 )
@@ -151,14 +151,15 @@ var counterNames = [NumCounters]string{
 	CInlineProcsEliminated: "inline.procs_eliminated",
 	CInlineDiscards:        "inline.discards",
 
-	CDaemonAccepted:       "daemon.accepted",
-	CDaemonRejectedQueue:  "daemon.rejected_queue_full",
-	CDaemonRejectedSize:   "daemon.rejected_too_large",
-	CDaemonBadRequests:    "daemon.bad_requests",
-	CDaemonDeadlines:      "daemon.deadline_exceeded",
-	CDaemonPanics:         "daemon.request_panics",
-	CDaemonStateEvictions: "daemon.state_evictions",
-	CDaemonDrainRefusals:  "daemon.drain_refusals",
+	CDaemonAccepted:        "daemon.accepted",
+	CDaemonRejectedQueue:   "daemon.rejected_queue_full",
+	CDaemonRejectedSize:    "daemon.rejected_too_large",
+	CDaemonBadRequests:     "daemon.bad_requests",
+	CDaemonDeadlines:       "daemon.deadline_exceeded",
+	CDaemonPanics:          "daemon.request_panics",
+	CDaemonStateEvictions:  "daemon.state_evictions",
+	CDaemonDrainRefusals:   "daemon.drain_refusals",
+	CDaemonStateSaveErrors: "daemon.state_save_errors",
 }
 
 // Name returns the counter's report name.
@@ -256,11 +257,6 @@ type Session struct {
 	phaseNS  [NumPhases]atomic.Int64
 	phaseN   [NumPhases]atomic.Int64
 
-	labeled struct {
-		sync.Mutex
-		m map[string]int64
-	}
-
 	trace struct {
 		sync.Mutex
 		events  []traceEvent
@@ -300,9 +296,7 @@ func Current() *Session { return current.Load() }
 // NewSession builds a session without installing it (tests observe in
 // isolation this way).
 func NewSession(opts Options) *Session {
-	s := &Session{start: time.Now(), tracing: opts.Trace, traceCap: opts.TraceCap}
-	s.labeled.m = map[string]int64{}
-	return s
+	return &Session{start: time.Now(), tracing: opts.Trace, traceCap: opts.TraceCap}
 }
 
 // Add bumps a counter by n.
@@ -324,17 +318,6 @@ func (s *Session) SetMax(g Gauge, v int64) {
 			return
 		}
 	}
-}
-
-// AddLabeled bumps a dynamically-named counter. For cold paths only — it
-// takes a lock; hot paths use the fixed Counter enum.
-func (s *Session) AddLabeled(name string, n int64) {
-	if s == nil {
-		return
-	}
-	s.labeled.Lock()
-	s.labeled.m[name] += n
-	s.labeled.Unlock()
 }
 
 // Span opens a span of the given phase. Every span lands on one timeline
@@ -385,7 +368,6 @@ type Snapshot struct {
 	gauges   [NumGauges]int64
 	phaseNS  [NumPhases]int64
 	phaseN   [NumPhases]int64
-	labeled  map[string]int64
 }
 
 // Snap captures the current registry state. On a nil session it returns a
@@ -406,13 +388,5 @@ func (s *Session) Snap() Snapshot {
 		sn.phaseNS[i] = s.phaseNS[i].Load()
 		sn.phaseN[i] = s.phaseN[i].Load()
 	}
-	s.labeled.Lock()
-	if len(s.labeled.m) > 0 {
-		sn.labeled = make(map[string]int64, len(s.labeled.m))
-		for k, v := range s.labeled.m {
-			sn.labeled[k] = v
-		}
-	}
-	s.labeled.Unlock()
 	return sn
 }

@@ -30,8 +30,8 @@ func TestNamesComplete(t *testing.T) {
 }
 
 // TestReportSince checks that reports diff the registry over the snapshot
-// window: activity before the snapshot is excluded, gauges read end-of-window
-// values, and superinstruction labels stay out of the Counters list.
+// window: activity before the snapshot is excluded and gauges read
+// end-of-window values.
 func TestReportSince(t *testing.T) {
 	s := NewSession(Options{})
 	s.Add(CSimRunsFast, 3)
@@ -41,9 +41,6 @@ func TestReportSince(t *testing.T) {
 	s.Add(CSimRunsFast, 2)
 	s.Add(CFrontCacheHit, 1)
 	s.SetMax(GDaemonQueueHigh, 4) // below the recorded max: no effect
-	s.AddLabeled(SuperHitPrefix+"LW", 10)
-	s.AddLabeled(SuperHitPrefix+"SW", 30)
-	s.AddLabeled("other.label", 7)
 
 	r := s.ReportSince(snap)
 	if got := r.Counter("sim.runs_fast"); got != 2 {
@@ -52,20 +49,8 @@ func TestReportSince(t *testing.T) {
 	if got := r.Counter("front.cache_hits"); got != 1 {
 		t.Errorf("front.cache_hits diff = %d, want 1", got)
 	}
-	if got := r.Counter("other.label"); got != 7 {
-		t.Errorf("labeled counter diff = %d, want 7", got)
-	}
 	if got := r.Gauge("daemon.queue_high_water"); got != 5 {
 		t.Errorf("gauge = %d, want high-water 5", got)
-	}
-	for _, st := range r.Counters {
-		if st.Name == SuperHitPrefix+"LW" || st.Name == SuperHitPrefix+"SW" {
-			t.Errorf("superinstruction label %q leaked into Counters", st.Name)
-		}
-	}
-	hits := s.LabeledSince(snap, SuperHitPrefix)
-	if len(hits) != 2 || hits[0].Name != "SW" || hits[0].Value != 30 || hits[1].Name != "LW" {
-		t.Errorf("LabeledSince = %+v, want SW=30 then LW=10", hits)
 	}
 	if r.WallNanos <= 0 {
 		t.Errorf("WallNanos = %d, want > 0", r.WallNanos)
@@ -159,15 +144,11 @@ func TestNilSafety(t *testing.T) {
 	var s *Session
 	s.Add(CSimRunsFast, 1)
 	s.SetMax(GDaemonQueueHigh, 4)
-	s.AddLabeled("x", 1)
 	s.Span(PhaseRun, "r").End()
 	(Span{}).End()
 	snap := s.Snap()
 	if r := s.ReportSince(snap); r != nil {
 		t.Errorf("nil session ReportSince = %+v, want nil", r)
-	}
-	if h := s.LabeledSince(snap, SuperHitPrefix); h != nil {
-		t.Errorf("nil session LabeledSince = %+v, want nil", h)
 	}
 	var buf bytes.Buffer
 	if err := s.WriteTrace(&buf); err != nil {
@@ -231,7 +212,6 @@ func TestConcurrentRegistry(t *testing.T) {
 			for i := 0; i < each; i++ {
 				s.Add(CCodegenFuncs, 1)
 				s.SetMax(GDaemonBusyHigh, int64(w))
-				s.AddLabeled("k", 1)
 			}
 			s.Span(PhaseCodegen, "w").End()
 		}(w)
@@ -240,9 +220,6 @@ func TestConcurrentRegistry(t *testing.T) {
 	r := s.ReportSince(Snapshot{})
 	if got := r.Counter("codegen.funcs_emitted"); got != workers*each {
 		t.Errorf("funcs_emitted = %d, want %d", got, workers*each)
-	}
-	if got := r.Counter("k"); got != workers*each {
-		t.Errorf("labeled k = %d, want %d", got, workers*each)
 	}
 	if got := r.Gauge("daemon.busy_workers_high_water"); got != workers-1 {
 		t.Errorf("busy-workers gauge = %d, want %d", got, workers-1)
@@ -255,11 +232,10 @@ func TestTableRenders(t *testing.T) {
 	snap := s.Snap()
 	s.Add(CSimRunsFast, 1)
 	s.Span(PhaseRun, "run").End()
-	s.AddLabeled(SuperHitPrefix+"LW", 5)
 	rr := &RunReport{
 		Report:    *s.ReportSince(snap),
 		Engine:    "reference",
-		SuperHits: s.LabeledSince(snap, SuperHitPrefix),
+		SuperHits: []Stat{{Name: "LW", Value: 5}},
 	}
 	rr.FallbackReason = "verify failed"
 	out := rr.Table()

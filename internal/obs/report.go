@@ -5,7 +5,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -122,15 +121,10 @@ type RunReport struct {
 	// declined (static verification failure, degenerate initial stack
 	// pointer). Empty when the fast engine ran.
 	FallbackReason string `json:",omitempty"`
-	// SuperHits are per-superinstruction dispatch counts attributed via
-	// block entry counters, largest first.
+	// SuperHits are this run's per-superinstruction dispatch counts,
+	// attributed via block entry counters, largest first (ties by name).
 	SuperHits []Stat `json:",omitempty"`
 }
-
-// SuperHitPrefix namespaces the labeled counters that carry the fast
-// engine's per-superinstruction dispatch counts. ReportSince keeps them
-// out of Counters; RunReport surfaces them as SuperHits.
-const SuperHitPrefix = "sim.op."
 
 // ReportSince diffs the registry against sn. A nil session returns nil.
 func (s *Session) ReportSince(sn Snapshot) *Report {
@@ -158,43 +152,12 @@ func (s *Session) ReportSince(sn Snapshot) *Report {
 			r.Counters = append(r.Counters, Stat{Name: c.Name(), Value: d})
 		}
 	}
-	for _, st := range labeledDiff(now.labeled, sn.labeled, "") {
-		if !strings.HasPrefix(st.Name, SuperHitPrefix) {
-			r.Counters = append(r.Counters, st)
-		}
-	}
 	for g := Gauge(0); g < NumGauges; g++ {
 		if v := now.gauges[g]; v != 0 {
 			r.Gauges = append(r.Gauges, Stat{Name: g.Name(), Value: v})
 		}
 	}
 	return r
-}
-
-// LabeledSince diffs the labeled counters with the given name prefix
-// (which is stripped), sorted by value descending then name.
-func (s *Session) LabeledSince(sn Snapshot, prefix string) []Stat {
-	if s == nil {
-		return nil
-	}
-	now := s.Snap()
-	out := labeledDiff(now.labeled, sn.labeled, prefix)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Value > out[j].Value })
-	return out
-}
-
-func labeledDiff(now, old map[string]int64, prefix string) []Stat {
-	var out []Stat
-	for name, v := range now {
-		if prefix != "" && !strings.HasPrefix(name, prefix) {
-			continue
-		}
-		if d := v - old[name]; d != 0 {
-			out = append(out, Stat{Name: strings.TrimPrefix(name, prefix), Value: d})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // Counter looks up a counter diff by report name; zero when absent.

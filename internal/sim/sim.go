@@ -21,9 +21,12 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"time"
 
 	"chow88/internal/mach"
@@ -274,25 +277,30 @@ func RunReference(p *mcode.Program, opts Options) (*Result, error) {
 }
 
 // finishObs publishes the run's accumulated engine metrics to the obs
-// session and attaches a RunReport covering the window since snap. No-op
-// when no session is active.
+// session and attaches a RunReport covering the window since snap, with
+// this run's own superinstruction histogram. No-op when no session is
+// active.
 func (m *machine) finishObs(s *obs.Session, snap obs.Snapshot) {
 	if s == nil {
 		return
 	}
+	var hits []obs.Stat
 	if m.superHits != nil {
 		s.Add(obs.CSimBlockEntries, m.blockEntries)
 		for op, n := range m.superHits {
 			if n != 0 {
-				s.AddLabeled(obs.SuperHitPrefix+xopName(xop(op)), n)
+				hits = append(hits, obs.Stat{Name: xopName(xop(op)), Value: n})
 			}
 		}
+		slices.SortFunc(hits, func(a, b obs.Stat) int {
+			return cmp.Or(cmp.Compare(b.Value, a.Value), strings.Compare(a.Name, b.Name))
+		})
 	}
 	m.res.Report = &obs.RunReport{
 		Report:         *s.ReportSince(snap),
 		Engine:         m.res.Engine,
 		FallbackReason: m.res.FallbackReason,
-		SuperHits:      s.LabeledSince(snap, obs.SuperHitPrefix),
+		SuperHits:      hits,
 	}
 }
 

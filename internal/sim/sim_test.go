@@ -9,6 +9,7 @@ import (
 
 	"chow88/internal/mach"
 	"chow88/internal/mcode"
+	"chow88/internal/obs"
 )
 
 // prog builds a runnable image from raw instructions placed in one
@@ -368,6 +369,31 @@ func TestDefaultEngine(t *testing.T) {
 	}
 	if _, err := Run(p, Options{Engine: "native"}); !errors.Is(err, ErrBadEngine) {
 		t.Fatalf("Run on engine native = %v, want ErrBadEngine", err)
+	}
+}
+
+// TestSnapAllocFreeAfterRun holds a session snapshot to zero allocations
+// after a fast run has reported its superinstruction histogram: the
+// histogram rides on the run's report, not in the session, so every report
+// window (chowd opens one per compile request) copies a fixed-size value.
+func TestSnapAllocFreeAfterRun(t *testing.T) {
+	p := prog(
+		mcode.Instr{Op: mcode.LI, Rd: mach.T0, Imm: 7},
+		mcode.Instr{Op: mcode.PRINT, Rs: mach.T0},
+		mcode.Instr{Op: mcode.JR, Rs: mach.RA},
+	)
+	s := obs.Begin(obs.Options{})
+	defer obs.EndIf(s)
+	res, err := Run(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Engine != "fast" || len(res.Report.SuperHits) == 0 {
+		t.Fatalf("engine %q with %d superinstruction kinds; want a fast run that reports its histogram",
+			res.Engine, len(res.Report.SuperHits))
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = s.Snap() }); n != 0 {
+		t.Errorf("Snap allocates %.1f objects after a run, want 0", n)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -39,9 +38,12 @@ type paperData struct {
 	// and of the winner of the sampled sweep, with their specs.
 	convention [2]paperRun
 	convSpec   [2]string
-	// height maps a chain depth to its save/restore count under D and E.
-	height map[int][2]int64
+	// height is indexed by chain depth (2 to maxChainDepth): the
+	// save/restore count under D and E.
+	height [maxChainDepth + 1][2]int64
 }
+
+const maxChainDepth = 12
 
 // Measured once per test binary: both tests read the same runs.
 var paperOnce struct {
@@ -75,7 +77,6 @@ func measurePaper() (*paperData, error) {
 	d := &paperData{
 		table:  map[string]map[string]paperRun{},
 		inline: map[string][2]paperRun{},
-		height: map[int][2]int64{},
 	}
 	for _, p := range append(benchprog.All(), benchprog.Large()) {
 		d.table[p.Name] = map[string]paperRun{}
@@ -110,17 +111,15 @@ func measurePaper() (*paperData, error) {
 		d.convention[i] = paperRun{cycles: row.Cycles, saveLS: row.SaveLS, linkage: row.Linkage}
 		d.convSpec[i] = row.Spec
 	}
-	for depth := 2; depth <= 12; depth++ {
+	for depth := 2; depth <= maxChainDepth; depth++ {
 		src := experiments.ChainProgram(depth, 3)
-		var sr [2]int64
 		for i, mode := range []Mode{ModeD(), ModeE()} {
 			r, err := measureRun(Compile(src, mode))
 			if err != nil {
 				return nil, fmt.Errorf("chain %d/%s: %w", depth, mode.Name, err)
 			}
-			sr[i] = r.saveLS
+			d.height[depth][i] = r.saveLS
 		}
-		d.height[depth] = sr
 	}
 	return d, nil
 }
@@ -151,12 +150,7 @@ func (d *paperData) golden() string {
 			k, r.cycles, r.saveLS, r.linkage, d.convSpec[i])
 	}
 	b.WriteString("# call chain of the given depth (3 values live across each call): save/restore loads+stores\n")
-	depths := make([]int, 0, len(d.height))
-	for depth := range d.height {
-		depths = append(depths, depth)
-	}
-	sort.Ints(depths)
-	for _, depth := range depths {
+	for depth := 2; depth <= maxChainDepth; depth++ {
 		h := d.height[depth]
 		fmt.Fprintf(&b, "height %2d D=%d E=%d\n", depth, h[0], h[1])
 	}
@@ -243,7 +237,7 @@ func TestPaperShapes(t *testing.T) {
 	// save/restore traffic is the constant 14 ops of the saves migrated to
 	// main; at depth 2 the caller-saved class wins by more.
 	gap := func(depth int) int64 { return d.height[depth][1] - d.height[depth][0] }
-	for depth := 4; depth <= 12; depth++ {
+	for depth := 4; depth <= maxChainDepth; depth++ {
 		if g := gap(depth); g != 14 {
 			t.Errorf("height %d: E−D save/restore = %d, want 14", depth, g)
 		}
